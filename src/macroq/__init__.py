@@ -26,6 +26,7 @@ from .catalog import (GaussianChar, ThermalSCSChar, closed_form_decohered_scs,
                       make_scs, make_squeezed, make_thermal, make_thermal_scs,
                       mixture_scs_measure, scs_mean_n, squeezed_char_params,
                       thermal_measure, thermal_scs_measure)
-from .dynamics import TrajectoryPoint, evolve, lindblad_rhs, purity_rate_residuals
+from .dynamics import (TrajectoryPoint, damp, evolve, lindblad_rhs,
+                       purity_rate_residuals)
 
 __version__ = "0.1.0"

@@ -24,9 +24,6 @@ from . import phasespace
 from .config import DEFAULT, Tolerances
 from .fock import DensityMatrix, Ket, exchange_trace, number_diagonal
 
-ROUTES = ("operator", "char-quadrature", "wigner-grid", "closed-form", "low-rank")
-
-
 class ConvergenceError(RuntimeError):
     """Quadrature failed to meet tolerance; .partial holds the best estimate."""
 
@@ -57,7 +54,7 @@ class MeasureResult:
 # ---------------------------------------------------------------------------
 # operator route
 
-def measure_operator(state: DensityMatrix, *, _exchange_sign: float = 1.0) -> MeasureResult:
+def measure_operator(state: DensityMatrix) -> MeasureResult:
     """Evaluate I from the dense matrix by index shifts, O(modes * dim^2).
 
     Relies on the exactly Hermitian ``data`` that ``DensityMatrix`` guarantees
@@ -67,9 +64,6 @@ def measure_operator(state: DensityMatrix, *, _exchange_sign: float = 1.0) -> Me
 
     The err_estimate is a truncation heuristic driven by the population of the
     top Fock level; it is zero for states that genuinely fit the cutoff.
-
-    ``_exchange_sign`` exists for the self-test fault injector and must stay
-    at +1 for real use.
     """
     rho = np.ascontiguousarray(state.data)
     cut = state.cutoffs
@@ -80,7 +74,7 @@ def measure_operator(state: DensityMatrix, *, _exchange_sign: float = 1.0) -> Me
     for m in range(cut.modes):
         nd = number_diagonal(cut, mode=m)
         exchange = exchange_trace(rho, cut, m)
-        value += float(second @ nd) - _exchange_sign * exchange
+        value += float(second @ nd) - exchange
 
     top = np.zeros(cut.cutoffs, dtype=bool)
     for m, d in enumerate(cut.cutoffs):

@@ -83,12 +83,12 @@ def test_criterion_04_damped_cat_trajectory():
     t0 = time.perf_counter()
     alpha, taus = 2.0, [0.1, 0.3, 0.7]
     state = catalog.make_scs(alpha, 40)
-    traj = evolve(state, taus, step=0.005)
+    traj = evolve(state, taus)
     rels = []
     for p in traj:
         ref = catalog.closed_form_decohered_scs(alpha, p.tau).value
         rels.append(abs(p.value - ref) / abs(ref))
-    resid = purity_rate_residuals(state, taus, step=0.005)
+    resid = purity_rate_residuals(state, taus)
     elapsed = time.perf_counter() - t0
     ok = max(rels) <= 1e-5 and max(resid) <= 1e-5 and elapsed < 60.0
     verdict(4, "damped-cat", ok,

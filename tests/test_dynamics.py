@@ -1,11 +1,16 @@
 """Amplitude-damping evolution and the purity-rate identity."""
 
+import re
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from macroq import catalog
-from macroq.dynamics import evolve, lindblad_rhs, purity_rate_residuals
-from macroq.fock import DensityMatrix, as_cutoffs
+from macroq.dynamics import damp, evolve, lindblad_rhs, purity_rate_residuals
+from macroq.fock import DensityMatrix, ModeCutoffs, as_cutoffs
 from macroq.measure import measure_operator
 
 
@@ -36,7 +41,7 @@ def test_evolve_requires_sane_record_times():
 def test_evolve_records_requested_times():
     rho = catalog.make_coherent(1.0, 25)
     times = [0.0, 0.15, 0.4]
-    traj = evolve(rho, times, step=0.02)
+    traj = evolve(rho, times)
     assert [p.tau for p in traj] == times
     assert traj[0].value == pytest.approx(measure_operator(rho).value, abs=1e-12)
 
@@ -44,14 +49,14 @@ def test_evolve_records_requested_times():
 def test_mean_occupation_decays_exponentially():
     rho = catalog.make_coherent(1.3, 30)
     n0 = rho.mean_number()
-    traj = evolve(rho, [0.0, 0.2, 0.5, 1.0], step=0.01)
+    traj = evolve(rho, [0.0, 0.2, 0.5, 1.0])
     for p in traj:
         assert p.mean_n == pytest.approx(n0 * np.exp(-p.tau), abs=1e-6)
 
 
 def test_coherent_state_stays_coherent():
     # a displaced vacuum only shrinks; I stays zero along the way
-    traj = evolve(catalog.make_coherent(1.0, 25), [0.3, 0.8], step=0.01)
+    traj = evolve(catalog.make_coherent(1.0, 25), [0.3, 0.8])
     for p in traj:
         assert abs(p.value) < 1e-7
         assert p.purity == pytest.approx(1.0, abs=1e-7)
@@ -59,29 +64,59 @@ def test_coherent_state_stays_coherent():
 
 def test_thermal_purity_grows_towards_vacuum():
     rho = catalog.make_thermal(1.0, 40)
-    traj = evolve(rho, [0.0, 0.5, 1.5], step=0.01)
+    traj = evolve(rho, [0.0, 0.5, 1.5])
     purs = [p.purity for p in traj]
     assert purs[0] < purs[1] < purs[2]
     # negative measure means purity is increasing, consistently
     assert traj[0].value < 0
 
 
-def test_rk4_step_error_scales_fourth_order():
-    rho = catalog.make_scs(1.0, 25)
-    ref = evolve(rho, [0.4], step=0.0025)[0].state.data
-    errs = []
-    for h in (0.04, 0.02):
-        out = evolve(rho, [0.4], step=h)[0].state.data
-        errs.append(np.abs(out - ref).max())
-    order = np.log2(errs[0] / errs[1])
-    assert 3.5 < order < 4.5
+def _random_state(cutoffs, seed):
+    rng = np.random.default_rng(seed)
+    d = cutoffs.dim
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return DensityMatrix(cutoffs, g @ g.conj().T)
+
+
+@pytest.mark.parametrize("tau", [-0.01, 0.3, 2.0])
+def test_damp_matches_generator_exponential(tau):
+    # the superoperator of lindblad_rhs, assembled column by column
+    cut = ModeCutoffs((3, 2))
+    d = cut.dim
+    gen = np.empty((d * d, d * d), dtype=complex)
+    for col in range(d * d):
+        unit = np.zeros(d * d, dtype=complex)
+        unit[col] = 1.0
+        gen[:, col] = lindblad_rhs(unit.reshape(d, d), cut).ravel()
+    rho = _random_state(cut, 3).data
+    ref = (expm(tau * gen) @ rho.ravel()).reshape(d, d)
+    assert np.abs(damp(rho, cut, tau) - ref).max() < 1e-13
+
+
+def test_damp_is_a_trace_preserving_semigroup():
+    state = _random_state(ModeCutoffs((4, 3)), 5)
+    cut = state.cutoffs
+    twice = damp(damp(state.data, cut, 0.2), cut, 0.3)
+    once = damp(state.data, cut, 0.5)
+    assert np.abs(twice - once).max() < 1e-14
+    for tau in (0.5, 3.0):
+        assert damp(state.data, cut, tau).trace() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_damp_shrinks_coherent_amplitude():
+    alpha = 1.1 - 0.6j
+    rho = catalog.make_coherent(alpha, 30)
+    for tau in (0.3, 1.7):
+        out = damp(rho.data, rho.cutoffs, tau)
+        ref = catalog.make_coherent(np.exp(-tau / 2) * alpha, 30).data
+        assert np.abs(out - ref).max() < 1e-12
 
 
 def test_cat_trajectory_matches_closed_form():
     alpha = 1.5
     rho = catalog.make_scs(alpha, 40)
     taus = [0.1, 0.3, 0.7]
-    traj = evolve(rho, taus, step=0.005)
+    traj = evolve(rho, taus)
     for p in traj:
         closed = catalog.closed_form_decohered_scs(alpha, p.tau)
         assert p.value == pytest.approx(closed.value, abs=2e-6)
@@ -105,4 +140,13 @@ def test_evolve_rejects_unphysical_drift():
     data[0, 5] = data[5, 0] = 0.49
     bad = DensityMatrix(as_cutoffs(6), data)
     with pytest.raises(RuntimeError):
-        evolve(bad, [2.0], step=0.05)
+        evolve(bad, [2.0])
+
+
+def test_cat_decoherence_demo_meets_identity(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "cat_decoherence.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    resid = re.search(r"max \|dP/dtau \+ 2 I\| over the trajectory: (\S+)", out)
+    assert resid is not None
+    assert float(resid.group(1)) <= 1e-5

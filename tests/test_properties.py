@@ -83,13 +83,13 @@ def test_route_triangle_random_states():
 def test_purity_rate_identity_random_state():
     rng = np.random.default_rng(17)
     st = random_state(rng, 10)
-    resid = purity_rate_residuals(st, [0.0, 0.3], step=0.005)
+    resid = purity_rate_residuals(st, [0.0, 0.3])
     assert max(resid) < 1e-6
 
 
 def test_damped_squeezed_state_follows_gaussian_closed_form():
     A, B = catalog.squeezed_char_params(1.0)
-    traj = evolve(catalog.make_squeezed(1.0), [0.2, 0.6], step=0.005)
+    traj = evolve(catalog.make_squeezed(1.0), [0.2, 0.6])
     for p in traj:
         ref = catalog.gaussian_measure(*catalog.gaussian_decohere(A, B, p.tau))
         assert p.value == pytest.approx(ref.value, abs=1e-7)
