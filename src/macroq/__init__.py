@@ -7,16 +7,14 @@ under amplitude damping through dP/dtau = -2 I.
 """
 
 from .config import DEFAULT, Tolerances
-from .fock import (DensityMatrix, Ket, ModeCutoffs, TruncationLeakError,
+from .fock import (DensityMatrix, ModeCutoffs, TruncationLeakError,
                    annihilation_op, apply_displacement, apply_rotation,
                    displacement_matrix, number_op, suggest_cutoff)
 from .measure import (ConvergenceError, MeasureResult, measure,
                       measure_char_quadrature, measure_operator,
                       measure_wigner_grid)
-from .phasespace import (Axis, CharGrid, DenseChar, WignerGrid, char_of,
-                         char_to_wigner, fringe_frequency, load_char,
-                         load_wigner, save_char, save_wigner, wigner_of,
-                         wigner_points, wigner_to_char)
+from .phasespace import (Axis, DenseChar, WignerGrid, char_of, fringe_frequency,
+                         load_wigner, save_wigner, wigner_of, wigner_points)
 from .lowrank import ProductRankState, measure_lowrank
 from .catalog import (GaussianChar, ThermalSCSChar, closed_form_decohered_scs,
                       closed_form_scs, dur_asymptotic, dur_exact, dur_measure,

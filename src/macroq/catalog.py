@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, i0e
 
 from .config import DEFAULT
-from .fock import DensityMatrix, Ket, ModeCutoffs, TruncationLeakError, suggest_cutoff
+from .fock import DensityMatrix, ModeCutoffs, TruncationLeakError, suggest_cutoff
 from .lowrank import ProductRankState
 from .measure import MeasureResult
 
@@ -35,6 +35,11 @@ def _leak_gate(leak: float, context: str) -> None:
     if leak > DEFAULT.displacement_leak:
         warnings.warn(f"{context}: cutoff misses {leak:.3e} of the norm",
                       RuntimeWarning, stacklevel=3)
+
+
+def _pure(amp: np.ndarray) -> DensityMatrix:
+    """Single-mode projector |amp><amp| of a normalized amplitude vector."""
+    return DensityMatrix(ModeCutoffs((amp.size,)), np.outer(amp, amp.conj()))
 
 
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -61,7 +66,7 @@ def make_fock(n: int, cutoff: int | None = None) -> DensityMatrix:
         raise TruncationLeakError(f"Fock state |{n}> needs a cutoff above {n}")
     amp = np.zeros(cutoff, dtype=complex)
     amp[n] = 1.0
-    return Ket(ModeCutoffs((cutoff,)), amp).density()
+    return _pure(amp)
 
 
 def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
@@ -69,7 +74,7 @@ def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     amp = _coherent_amplitudes(alpha, cutoff)
     norm2 = float(np.sum(np.abs(amp) ** 2))
     _leak_gate(1.0 - norm2, f"coherent alpha={alpha}")
-    return Ket(ModeCutoffs((cutoff,)), amp / np.sqrt(norm2)).density()
+    return _pure(amp / np.sqrt(norm2))
 
 
 def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
@@ -79,7 +84,7 @@ def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     norm2 = float(np.sum(np.abs(amp) ** 2))
     full = 2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2))
     _leak_gate(1.0 - norm2 / full, f"superposition alpha={alpha}")
-    return Ket(ModeCutoffs((cutoff,)), amp / np.sqrt(norm2)).density()
+    return _pure(amp / np.sqrt(norm2))
 
 
 def make_mixture_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
@@ -155,7 +160,7 @@ def make_squeezed(s: float, cutoff: int | None = None) -> DensityMatrix:
             cutoff *= 2
     amp, norm2 = _squeezed_amplitudes(s, int(cutoff))
     _leak_gate(1.0 - norm2, f"squeezed s={s}")
-    return Ket(ModeCutoffs((int(cutoff),)), amp / np.sqrt(norm2)).density()
+    return _pure(amp / np.sqrt(norm2))
 
 
 def make_maximally_mixed(dim: int) -> DensityMatrix:
@@ -412,18 +417,6 @@ class ThermalSCSChar:
         val = ((1.0 + np.exp(-S)) / V
                + 4.0 * vv * V * np.exp(-S * (V * V - 1.0) / (2.0 * U)) / U)
         return float(val / (1.0 + vv) ** 2)
-
-
-def thermal_scs_char(V: float, d: float) -> ThermalSCSChar:
-    return ThermalSCSChar(V, d)
-
-
-def thermal_scs_mean_n(V: float, d: float) -> float:
-    return ThermalSCSChar(V, d).mean_n
-
-
-def thermal_scs_purity(V: float, d: float) -> float:
-    return ThermalSCSChar(V, d).purity
 
 
 def thermal_scs_measure(V: float, d: float) -> MeasureResult:

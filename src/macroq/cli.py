@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on numeric failure (a structured JSON message goes
-to stderr), 2 on usage errors (argparse's convention).  All numbers are
-printed with 12 significant digits and no locale dependence.
+Exit codes: 0 on success, 1 on numeric failure or a state that cannot take
+the requested route (a structured JSON message goes to stderr), 2 on usage
+errors argparse catches.  All numbers are printed with 12 significant digits
+and no locale dependence.
 """
 
 from __future__ import annotations
@@ -13,15 +14,16 @@ import json
 import os
 import sys
 import warnings
+from typing import Callable
 
 import numpy as np
 
 from . import catalog, dynamics, phasespace
 from .fock import (DensityMatrix, TruncationLeakError, apply_displacement,
                    apply_rotation, exchange_trace)
-from .lowrank import measure_lowrank
-from .measure import (ConvergenceError, measure_char_quadrature, measure_operator,
-                      measure_wigner_grid)
+from .lowrank import ProductRankState
+from .measure import (ConvergenceError, measure, measure_char_quadrature,
+                      measure_operator, measure_wigner_grid)
 
 
 def _sig12(x):
@@ -41,13 +43,58 @@ def _emit_json(payload, stream=None):
 # ---------------------------------------------------------------------------
 # state construction from flags
 
-STATE_NAMES = ("fock", "coherent", "scs", "mixture-scs", "decohered-scs",
-               "squeezed", "gaussian", "thermal", "thermal-scs", "ghz", "noon",
-               "dur", "maximally-mixed")
+@dataclasses.dataclass(frozen=True)
+class StateEntry:
+    """How one ``--state`` name is built and measured.
+
+    ``build(*values, cutoff)`` returns the object ``measure()`` takes, with
+    ``values`` read from ``flags`` in order; ``closed(*values)`` is the
+    closed form and ``char(*values)`` the analytic characteristic function
+    that ``--route char-quadrature`` integrates in place of the built state.
+    """
+
+    flags: tuple[str, ...]
+    route: str
+    build: Callable
+    closed: Callable | None = None
+    char: Callable | None = None
+
+
+STATES = {
+    "fock": StateEntry(("n",), "operator", catalog.make_fock),
+    "coherent": StateEntry(("alpha",), "operator", catalog.make_coherent),
+    "scs": StateEntry(("alpha",), "operator", catalog.make_scs,
+                      closed=catalog.closed_form_scs),
+    "mixture-scs": StateEntry(("alpha",), "closed-form", catalog.make_mixture_scs,
+                              closed=catalog.mixture_scs_measure),
+    "decohered-scs": StateEntry(("alpha", "tau"), "closed-form",
+                                catalog.make_decohered_scs,
+                                closed=catalog.closed_form_decohered_scs),
+    "squeezed": StateEntry(("s",), "operator", catalog.make_squeezed,
+                           closed=lambda s: catalog.gaussian_measure(
+                               *catalog.squeezed_char_params(s))),
+    "gaussian": StateEntry(("A", "B"), "closed-form",
+                           lambda A, B, cut: catalog.GaussianChar(A, B),
+                           closed=catalog.gaussian_measure),
+    "thermal": StateEntry(("nbar",), "closed-form", catalog.make_thermal,
+                          closed=catalog.thermal_measure,
+                          char=lambda nbar: catalog.GaussianChar(2 * nbar + 1,
+                                                                 2 * nbar + 1)),
+    "thermal-scs": StateEntry(("V", "d"), "closed-form", catalog.make_thermal_scs,
+                              closed=catalog.thermal_scs_measure,
+                              char=catalog.ThermalSCSChar),
+    "ghz": StateEntry(("n-modes",), "low-rank", lambda n, cut: catalog.make_ghz(n)),
+    "noon": StateEntry(("n",), "low-rank", lambda n, cut: catalog.make_noon(n)),
+    "dur": StateEntry(("n-modes", "epsilon"), "low-rank",
+                      lambda n, eps, cut: catalog.make_dur(n, eps),
+                      closed=catalog.dur_measure),
+    "maximally-mixed": StateEntry(("dim",), "operator",
+                                  lambda dim, cut: catalog.make_maximally_mixed(dim)),
+}
 
 
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", required=True, choices=STATE_NAMES)
+    p.add_argument("--state", required=True, choices=tuple(STATES))
     p.add_argument("--n", type=int, help="photon number (fock, noon)")
     p.add_argument("--alpha", type=float, help="coherent amplitude")
     p.add_argument("--tau", type=float, help="damping time (decohered-scs)")
@@ -65,35 +112,6 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
                         "per-state heuristic")
 
 
-def _need(parser, args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            parser.error(f"--state {args.state} requires --{name}")
-
-
-class StateSpec:
-    """What the chosen state supports, resolved from parsed flags."""
-
-    def __init__(self, label, default_route, dense=None, lowrank=None,
-                 closed=None, char=None):
-        self.label = label
-        self.default_route = default_route
-        self._dense = dense
-        self.lowrank = lowrank
-        self.closed = closed
-        self._char = char
-
-    def dense(self) -> DensityMatrix:
-        if self._dense is None:
-            raise ValueError(f"state {self.label} has no Fock-space form")
-        return self._dense()
-
-    def char(self):
-        if self._char is not None:
-            return self._char()
-        return phasespace.char_of(self.dense())
-
-
 def _resolve_cutoff(args) -> int | None:
     """Explicit flag, then the environment override, then None (per-state default)."""
     if args.cutoff is not None:
@@ -107,109 +125,41 @@ def _resolve_cutoff(args) -> int | None:
     return None
 
 
-def build_state(parser, args) -> StateSpec:
+def _state_args(parser, args) -> tuple[StateEntry, list, int | None]:
+    """The chosen STATES entry, its flag values in order, and the Fock cutoff."""
     cut = _resolve_cutoff(args)
-    name = args.state
-    if name == "fock":
-        _need(parser, args, ["n"])
-        return StateSpec(f"fock n={args.n}", "operator",
-                         dense=lambda: catalog.make_fock(args.n, cut))
-    if name == "coherent":
-        _need(parser, args, ["alpha"])
-        return StateSpec(f"coherent alpha={args.alpha:g}", "operator",
-                         dense=lambda: catalog.make_coherent(args.alpha, cut))
-    if name == "scs":
-        _need(parser, args, ["alpha"])
-        return StateSpec(f"scs alpha={args.alpha:g}", "operator",
-                         dense=lambda: catalog.make_scs(args.alpha, cut),
-                         closed=lambda: catalog.closed_form_scs(args.alpha))
-    if name == "mixture-scs":
-        _need(parser, args, ["alpha"])
-        return StateSpec(f"mixture-scs alpha={args.alpha:g}", "closed-form",
-                         dense=lambda: catalog.make_mixture_scs(args.alpha, cut),
-                         closed=lambda: catalog.mixture_scs_measure(args.alpha))
-    if name == "decohered-scs":
-        _need(parser, args, ["alpha", "tau"])
-        return StateSpec(f"decohered-scs alpha={args.alpha:g} tau={args.tau:g}",
-                         "closed-form",
-                         dense=lambda: catalog.make_decohered_scs(args.alpha, args.tau, cut),
-                         closed=lambda: catalog.closed_form_decohered_scs(args.alpha, args.tau))
-    if name == "squeezed":
-        _need(parser, args, ["s"])
-        return StateSpec(f"squeezed s={args.s:g}", "operator",
-                         dense=lambda: catalog.make_squeezed(args.s, cut),
-                         closed=lambda: catalog.gaussian_measure(
-                             *catalog.squeezed_char_params(args.s)))
-    if name == "gaussian":
-        _need(parser, args, ["A", "B"])
-        return StateSpec(f"gaussian A={args.A:g} B={args.B:g}", "closed-form",
-                         closed=lambda: catalog.gaussian_measure(args.A, args.B),
-                         char=lambda: catalog.GaussianChar(args.A, args.B))
-    if name == "thermal":
-        _need(parser, args, ["nbar"])
-        return StateSpec(f"thermal nbar={args.nbar:g}", "closed-form",
-                         dense=lambda: catalog.make_thermal(args.nbar, cut),
-                         closed=lambda: catalog.thermal_measure(args.nbar),
-                         char=lambda: catalog.GaussianChar(2 * args.nbar + 1,
-                                                           2 * args.nbar + 1))
-    if name == "thermal-scs":
-        _need(parser, args, ["V", "d"])
-        return StateSpec(f"thermal-scs V={args.V:g} d={args.d:g}", "closed-form",
-                         dense=lambda: catalog.make_thermal_scs(args.V, args.d, cut),
-                         closed=lambda: catalog.thermal_scs_measure(args.V, args.d),
-                         char=lambda: catalog.ThermalSCSChar(args.V, args.d))
-    if name == "ghz":
-        _need(parser, args, ["n-modes"])
-        return StateSpec(f"ghz n_modes={args.n_modes}", "low-rank",
-                         lowrank=lambda: catalog.make_ghz(args.n_modes),
-                         dense=lambda: catalog.make_ghz(args.n_modes).to_dense())
-    if name == "noon":
-        _need(parser, args, ["n"])
-        return StateSpec(f"noon n={args.n}", "low-rank",
-                         lowrank=lambda: catalog.make_noon(args.n),
-                         dense=lambda: catalog.make_noon(args.n).to_dense())
-    if name == "dur":
-        _need(parser, args, ["n-modes", "epsilon"])
-        return StateSpec(f"dur n_modes={args.n_modes} epsilon={args.epsilon:g}",
-                         "low-rank",
-                         lowrank=lambda: catalog.make_dur(args.n_modes, args.epsilon),
-                         dense=lambda: catalog.make_dur(args.n_modes, args.epsilon).to_dense(),
-                         closed=lambda: catalog.dur_measure(args.n_modes, args.epsilon))
-    if name == "maximally-mixed":
-        _need(parser, args, ["dim"])
-        return StateSpec(f"maximally-mixed dim={args.dim}", "operator",
-                         dense=lambda: catalog.make_maximally_mixed(args.dim))
-    parser.error(f"unknown state {name!r}")
+    entry = STATES[args.state]
+    values = [getattr(args, flag.replace("-", "_")) for flag in entry.flags]
+    for flag, value in zip(entry.flags, values):
+        if value is None:
+            parser.error(f"--state {args.state} requires --{flag}")
+    return entry, values, cut
 
 
-def _run_route(parser, args, spec: StateSpec):
-    route = args.route or spec.default_route
-    if route == "closed-form":
-        if spec.closed is None:
-            parser.error(f"state {spec.label} has no closed form")
-        return spec.closed()
-    if route == "low-rank":
-        if spec.lowrank is None:
-            parser.error(f"state {spec.label} is not a low-rank product state")
-        return measure_lowrank(spec.lowrank())
-    if route == "operator":
-        return measure_operator(spec.dense())
-    if route == "char-quadrature":
-        chi = spec.char()
-        if hasattr(chi, "state") and chi.state.cutoffs.modes != 1:
-            parser.error("char-quadrature handles single-mode states")
-        return measure_char_quadrature(chi, radial_cut=None)
-    if route == "wigner-grid":
-        return measure_wigner_grid(phasespace.wigner_of(spec.dense()))
-    parser.error(f"unknown route {route!r}")
+def _dense(state) -> DensityMatrix:
+    """The Fock-space matrix of a built state, for the commands that need one."""
+    if isinstance(state, ProductRankState):
+        return state.to_dense()
+    if not isinstance(state, DensityMatrix):
+        raise ValueError(f"a {type(state).__name__} has no Fock-space form")
+    return state
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_measure(parser, args) -> int:
-    spec = build_state(parser, args)
-    res = _run_route(parser, args, spec)
+    entry, values, cut = _state_args(parser, args)
+    route = args.route or entry.route
+    if route == "closed-form":
+        if entry.closed is None:
+            raise ValueError(f"the closed-form route needs a closed form, "
+                             f"which state {args.state} lacks")
+        res = entry.closed(*values)
+    elif route == "char-quadrature" and entry.char is not None:
+        res = measure(entry.char(*values), route)
+    else:
+        res = measure(entry.build(*values, cut), route)
     _emit_json(res.as_dict())
     return 0
 
@@ -258,8 +208,8 @@ def cmd_sweep(parser, args) -> int:
 
 
 def cmd_emit_wigner(parser, args) -> int:
-    spec = build_state(parser, args)
-    state = spec.dense()
+    entry, values, cut = _state_args(parser, args)
+    state = _dense(entry.build(*values, cut))
     if state.cutoffs.modes != 1:
         parser.error("Wigner grids are single-mode")
     axes = {}
@@ -267,7 +217,10 @@ def cmd_emit_wigner(parser, args) -> int:
         ax = phasespace.Axis(-args.half_width, args.half_width, args.points)
         axes = {"x_axis": ax, "p_axis": ax}
     grid = phasespace.wigner_of(state, points=args.points, **axes)
-    grid.meta["state"] = spec.label
+    words = [args.state]  # e.g. "scs alpha=2"
+    for flag, v in zip(entry.flags, values):
+        words.append(f"{flag.replace('-', '_')}={format(v, 'g') if isinstance(v, float) else v}")
+    grid.meta["state"] = " ".join(words)
     phasespace.save_wigner(grid, args.output)
     return 0
 
@@ -287,8 +240,8 @@ def cmd_score_wigner(parser, args) -> int:
 
 
 def cmd_evolve(parser, args) -> int:
-    spec = build_state(parser, args)
-    state = spec.dense()
+    entry, values, cut = _state_args(parser, args)
+    state = _dense(entry.build(*values, cut))
     times = np.linspace(0.0, args.t_max, args.samples)
     traj = dynamics.evolve(state, times)
     lines = ["tau,I,purity,mean_n"]

@@ -14,11 +14,9 @@ class Tolerances:
     hermiticity: float = 1e-12       # max|rho - rho^dag| relative to max|rho|
     trace: float = 1e-10             # |Tr(rho) - 1| after normalization
     positivity_floor: float = -1e-9  # smallest admissible eigenvalue
-    ket_norm: float = 1e-12          # ket norm deviation from 1
     displacement_leak: float = 1e-6  # trace loss allowed by apply_displacement
     grid_normalization: float = 0.02  # |integral(W) - 1| warning level on load
     boundary_leak: float = 1e-8      # |W| at grid edge relative to the peak
-    char_unit: float = 1e-6          # |chi(0) - 1| and |chi| <= 1 + this
 
 
 DEFAULT = Tolerances()

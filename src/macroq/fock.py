@@ -61,30 +61,6 @@ def suggest_cutoff(mean_n: float) -> int:
     return int(np.ceil(mean_n + 6.0 * np.sqrt(mean_n) + 10.0))
 
 
-@dataclass
-class Ket:
-    """Pure state as a flat amplitude vector over ``cutoffs``."""
-
-    cutoffs: ModeCutoffs
-    amplitudes: np.ndarray
-    tol: Tolerances = field(default=DEFAULT, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.cutoffs = as_cutoffs(self.cutoffs)
-        amp = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amp.size != self.cutoffs.dim:
-            raise ValueError(
-                f"amplitude vector has size {amp.size}, expected {self.cutoffs.dim}")
-        norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > self.tol.ket_norm:
-            raise ValueError(f"ket norm {norm!r} deviates from 1 beyond tolerance")
-        self.amplitudes = amp / norm
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.cutoffs, np.outer(self.amplitudes, self.amplitudes.conj()),
-                             tol=self.tol)
-
-
 _TILE = 256
 
 

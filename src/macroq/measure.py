@@ -22,7 +22,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from . import phasespace
 from .config import DEFAULT, Tolerances
-from .fock import DensityMatrix, Ket, exchange_trace, number_diagonal
+from .fock import DensityMatrix, exchange_trace, number_diagonal
 
 class ConvergenceError(RuntimeError):
     """Quadrature failed to meet tolerance; .partial holds the best estimate."""
@@ -273,20 +273,45 @@ def measure_wigner_grid(grid: phasespace.WignerGrid, tol: Tolerances = DEFAULT) 
 # ---------------------------------------------------------------------------
 # dispatcher
 
-def measure(state, route: str = "operator", radial_cut: float | None = None,
-            **grid_kwargs) -> MeasureResult:
-    """Run one of the numeric routes on a dense state.
+def measure(state, route: str | None = None) -> MeasureResult:
+    """Evaluate I by the named route, or by the one the state's type implies.
 
-    The quadrature route defaults to the probing radial cut here (not the bare
-    8.0) because the dispatcher cannot know the state's phase-space extent.
+    Without a route, a ``ProductRankState`` takes ``low-rank``, a
+    ``DensityMatrix`` takes ``operator`` and any other object, taken to be a
+    characteristic function (``GaussianChar``, ``ThermalSCSChar``,
+    ``DenseChar``), takes ``char-quadrature``.  A ``ProductRankState`` goes
+    through ``to_dense()`` for the other routes.  ``char-quadrature`` wraps a
+    ``DensityMatrix`` with ``char_of`` and probes for its radial cut, since the
+    dispatcher cannot know the state's phase-space extent; callers that need
+    their own cut or grid call the route functions directly.  A state that
+    lacks the form a route needs, and an unknown route, raise ValueError.
     """
-    if isinstance(state, Ket):
-        state = state.density()
+    from .lowrank import ProductRankState, measure_lowrank  # lowrank imports this module
+
+    lowrank = isinstance(state, ProductRankState)
+    dense = lowrank or isinstance(state, DensityMatrix)
+    modes = state.modes if lowrank else state.cutoffs.modes if dense else 1
+    if route is None:
+        route = "low-rank" if lowrank else "operator" if dense else "char-quadrature"
+    # whether the state has the form each route needs, and that form's name
+    needs = {"operator": (dense, "a Fock-space form"),
+             "char-quadrature": (modes == 1, "a single-mode form"),
+             "wigner-grid": (dense and modes == 1, "a single-mode Fock-space form"),
+             "low-rank": (lowrank, "a product-rank form")}
+    if route not in needs:
+        raise ValueError(f"unknown route {route!r}; routes are {', '.join(needs)}")
+    fits, form = needs[route]
+    if not fits:
+        shape = f" of {modes} modes" if modes > 1 else ""
+        raise ValueError(f"the {route} route needs {form}, "
+                         f"not a {type(state).__name__}{shape}")
+    if route == "low-rank":
+        return measure_lowrank(state)
+    if lowrank:
+        state = state.to_dense()
     if route == "operator":
         return measure_operator(state)
-    if route == "char-quadrature":
-        return measure_char_quadrature(phasespace.char_of(state), radial_cut=radial_cut)
     if route == "wigner-grid":
-        return measure_wigner_grid(phasespace.wigner_of(state, **grid_kwargs))
-    raise ValueError(f"unknown route {route!r}; numeric routes are "
-                     "'operator', 'char-quadrature', 'wigner-grid'")
+        return measure_wigner_grid(phasespace.wigner_of(state))
+    return measure_char_quadrature(phasespace.char_of(state) if dense else state,
+                                   radial_cut=None)

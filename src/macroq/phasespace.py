@@ -197,41 +197,6 @@ class WignerGrid:
         return float(np.pi * (self.values ** 2).sum() * self.cell)
 
 
-@dataclass
-class CharGrid:
-    """Complex chi samples on a (xi_r, xi_i) rectangle, same layout as WignerGrid."""
-
-    x: Axis
-    p: Axis
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.x.n, self.p.n):
-            raise ValueError(f"values shape {vals.shape} does not match axes "
-                             f"({self.x.n}, {self.p.n})")
-        if not np.isfinite(vals).all():
-            raise ValueError("grid contains non-finite values")
-        self.values = vals
-
-    @property
-    def cell(self) -> float:
-        return self.x.step * self.p.step
-
-    def validate(self, tol: Tolerances = DEFAULT) -> None:
-        """Check the defining bounds of a characteristic function."""
-        peak = float(np.abs(self.values).max())
-        if peak > 1.0 + tol.char_unit:
-            raise ValueError(f"|chi| reaches {peak!r}, above 1")
-        ix = np.flatnonzero(np.abs(self.x.points) < 1e-12)
-        ip = np.flatnonzero(np.abs(self.p.points) < 1e-12)
-        if ix.size and ip.size:
-            origin = self.values[ix[0], ip[0]]
-            if abs(origin - 1.0) > tol.char_unit:
-                raise ValueError(f"chi(0) = {origin!r}, expected 1")
-
-
 def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
               p_axis: Axis | None = None, points: int = 201,
               tol: Tolerances = DEFAULT) -> WignerGrid:
@@ -264,26 +229,8 @@ def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
     return grid
 
 
-def char_grid_of(state: DensityMatrix, xr_axis: Axis, xi_axis: Axis) -> CharGrid:
-    """Sample chi of a dense single-mode state on an explicit rectangle."""
-    pts = xr_axis.points[:, None] + 1j * xi_axis.points[None, :]
-    vals = char_points(state.data, pts)
-    return CharGrid(xr_axis, xi_axis, vals, meta={"convention": "xi-plane"})
-
-
 # ---------------------------------------------------------------------------
-# transforms between the two grids
-
-def dual_axes(x_axis: Axis, p_axis: Axis) -> tuple[Axis, Axis]:
-    """Natural (xi_r, xi_i) axes for data sampled on (x, p).
-
-    The kernels exp(+-2 i u xi) make pi / (2 * step) the aliasing limit, and
-    the point counts carry over from the conjugate axis.
-    """
-    xr_max = np.pi / (2.0 * p_axis.step)
-    xi_max = np.pi / (2.0 * x_axis.step)
-    return Axis(-xr_max, xr_max, p_axis.n), Axis(-xi_max, xi_max, x_axis.n)
-
+# transform of Wigner samples to the dual chi grid
 
 def _char_from_arrays(xs, ps, W):
     """Dense transform of Wigner samples to the dual chi grid.
@@ -298,28 +245,6 @@ def _char_from_arrays(xs, ps, W):
     Ep = np.exp(-2j * np.outer(ps, xi_r))
     chi = (Ex.T @ W @ Ep).T * (dx * dp)
     return xi_r, xi_i, chi
-
-
-def wigner_to_char(grid: WignerGrid) -> CharGrid:
-    xi_r, xi_i, chi = _char_from_arrays(grid.x.points, grid.p.points, grid.values)
-    ax_r = Axis(xi_r[0], xi_r[-1], xi_r.size)
-    ax_i = Axis(xi_i[0], xi_i[-1], xi_i.size)
-    return CharGrid(ax_r, ax_i, chi, meta={"convention": "xi-plane"})
-
-
-def char_to_wigner(grid: CharGrid, x_axis: Axis | None = None,
-                   p_axis: Axis | None = None) -> WignerGrid:
-    """Invert the transform; default output axes are the duals of the input."""
-    if x_axis is None or p_axis is None:
-        ax_p, ax_x = dual_axes(grid.x, grid.p)
-        x_axis = x_axis or ax_x
-        p_axis = p_axis or ax_p
-    xr, xi = grid.x.points, grid.p.points
-    xs, ps = x_axis.points, p_axis.points
-    Gx = np.exp(-2j * np.outer(xi, xs))
-    Gp = np.exp(2j * np.outer(xr, ps))
-    W = (Gx.T @ grid.values.T @ Gp) * (grid.cell / np.pi ** 2)
-    return WignerGrid(x_axis, p_axis, W.real, meta={"convention": "alpha-plane"})
 
 
 def fringe_frequency(grid: WignerGrid) -> float:
@@ -338,41 +263,40 @@ def fringe_frequency(grid: WignerGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the two text formats
+# the WIGNER-GRID v1 text format
+
+_MAGIC = "WIGNER-GRID v1"
+
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
-def _parse_complex(tok: str) -> complex:
-    if tok.endswith("i"):
-        return complex(tok[:-1] + "j")
-    return complex(float(tok))
-
-
-def _write_grid(path, magic, grid, fmt_one, default_convention):
+def save_wigner(grid: WignerGrid, path) -> None:
     meta = dict(grid.meta)
-    meta.setdefault("convention", default_convention)
-    lines = [magic,
+    meta.setdefault("convention", "alpha-plane")
+    lines = [_MAGIC,
              f"x {_fmt(grid.x.start)} {_fmt(grid.x.stop)} {grid.x.n}",
              f"p {_fmt(grid.p.start)} {_fmt(grid.p.stop)} {grid.p.n}"]
     for key, val in meta.items():
         lines.append(f"# {key}={val}")
     for row in grid.values:
-        lines.append(" ".join(fmt_one(v) for v in row))
+        lines.append(" ".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_grid(path, magic, parse_one, allowed_conventions):
+def load_wigner(path, strict_normalization: bool = False,
+                tol: Tolerances = DEFAULT) -> WignerGrid:
+    """Read a WIGNER-GRID v1 file.
+
+    An off-unit integral beyond ``tol.grid_normalization`` is a warning by
+    default (scoring passes it along) and an error with strict_normalization.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0].strip() != magic:
-        raise ValueError(f"{path}: missing '{magic}' header")
+    if not lines or lines[0].strip() != _MAGIC:
+        raise ValueError(f"{path}: missing '{_MAGIC}' header")
 
     def parse_axis(line, name):
         parts = line.split()
@@ -393,7 +317,7 @@ def _read_grid(path, magic, parse_one, allowed_conventions):
             meta[key.strip()] = val.strip()
         row_at += 1
     conv = meta.get("convention")
-    if conv is not None and conv not in allowed_conventions:
+    if conv is not None and conv != "alpha-plane":
         raise ValueError(f"{path}: unsupported convention {conv!r}")
     rows = [ln for ln in lines[row_at:] if ln.strip()]
     if len(rows) != x_axis.n:
@@ -403,40 +327,12 @@ def _read_grid(path, magic, parse_one, allowed_conventions):
         toks = ln.split()
         if len(toks) != p_axis.n:
             raise ValueError(f"{path}: row has {len(toks)} values, expected {p_axis.n}")
-        values.append([parse_one(t) for t in toks])
-    return x_axis, p_axis, np.array(values), meta
-
-
-def save_wigner(grid: WignerGrid, path) -> None:
-    _write_grid(path, "WIGNER-GRID v1", grid, _fmt, "alpha-plane")
-
-
-def load_wigner(path, strict_normalization: bool = False,
-                tol: Tolerances = DEFAULT) -> WignerGrid:
-    """Read a WIGNER-GRID v1 file.
-
-    An off-unit integral beyond ``tol.grid_normalization`` is a warning by
-    default (scoring passes it along) and an error with strict_normalization.
-    """
-    x_axis, p_axis, values, meta = _read_grid(path, "WIGNER-GRID v1", float,
-                                              {"alpha-plane"})
-    grid = WignerGrid(x_axis, p_axis, values, meta=meta)
+        values.append([float(t) for t in toks])
+    grid = WignerGrid(x_axis, p_axis, np.array(values), meta=meta)
     dev = abs(grid.norm() - 1.0)
     if dev > tol.grid_normalization:
         msg = f"{path}: Wigner integral deviates from 1 by {dev:.4f}"
         if strict_normalization:
             raise ValueError(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return grid
-
-
-def save_char(grid: CharGrid, path) -> None:
-    _write_grid(path, "CHAR-GRID v1", grid, _fmt_complex, "xi-plane")
-
-
-def load_char(path, tol: Tolerances = DEFAULT) -> CharGrid:
-    x_axis, p_axis, values, meta = _read_grid(path, "CHAR-GRID v1", _parse_complex,
-                                              {"xi-plane"})
-    grid = CharGrid(x_axis, p_axis, values, meta=meta)
-    grid.validate(tol)
     return grid

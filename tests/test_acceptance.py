@@ -132,7 +132,7 @@ def test_criterion_06_broadened_cat_closed_form():
     worst = 0.0
     for V in (2.0, 5.0, 10.0):
         for d in (1.0, 3.0, 5.0):
-            oracle = measure_char_quadrature(catalog.thermal_scs_char(V, d),
+            oracle = measure_char_quadrature(catalog.ThermalSCSChar(V, d),
                                              radial_cut=None).value
             worst = max(worst, abs(catalog.thermal_scs_measure(V, d).value - oracle))
     sat = catalog.thermal_scs_measure(1e4, 0.0).value

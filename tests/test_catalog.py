@@ -144,14 +144,14 @@ def test_thermal_scs_closed_form_vs_dense(V, d):
         rho = catalog.make_thermal_scs(V, d)
     closed = catalog.thermal_scs_measure(V, d)
     assert measure_operator(rho).value == pytest.approx(closed.value, abs=1e-9)
-    assert rho.mean_number() == pytest.approx(catalog.thermal_scs_mean_n(V, d),
+    assert rho.mean_number() == pytest.approx(catalog.ThermalSCSChar(V, d).mean_n,
                                               abs=1e-8)
-    assert rho.purity() == pytest.approx(catalog.thermal_scs_purity(V, d), abs=1e-9)
+    assert rho.purity() == pytest.approx(catalog.ThermalSCSChar(V, d).purity, abs=1e-9)
 
 
 def test_thermal_scs_closed_form_vs_quadrature():
     for V, d in ((2.0, 1.0), (5.0, 3.0), (10.0, 5.0)):
-        chi = catalog.thermal_scs_char(V, d)
+        chi = catalog.ThermalSCSChar(V, d)
         oracle = measure_char_quadrature(chi, radial_cut=None)
         assert catalog.thermal_scs_measure(V, d).value == pytest.approx(
             oracle.value, abs=1e-9), (V, d)
@@ -161,7 +161,7 @@ def test_thermal_scs_pure_limit():
     # V = 1 collapses onto the plain superposition formulas
     assert catalog.thermal_scs_measure(1.0, 1.4).value == pytest.approx(
         catalog.closed_form_scs(1.4).value, rel=1e-12)
-    assert catalog.thermal_scs_purity(1.0, 1.4) == pytest.approx(1.0, abs=1e-12)
+    assert catalog.ThermalSCSChar(1.0, 1.4).purity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_thermal_scs_large_v_saturates():

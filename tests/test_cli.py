@@ -1,12 +1,14 @@
 """End-to-end command line tests, run in process."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from macroq import catalog
-from macroq.cli import main
+from macroq.cli import STATES, main
 from macroq.measure import measure_operator
 
 
@@ -43,13 +45,33 @@ def test_measure_closed_form_route_matches_operator(capsys):
     assert json.loads(out_cf)["route"] == "closed-form"
 
 
+# every --state with small parameters and the route it takes by default; the
+# default is table data in the CLI (scs has a closed form yet defaults to operator)
+DEFAULT_ROUTES = {
+    "fock": (["--n", "2"], "operator"),
+    "coherent": (["--alpha", "0.8"], "operator"),
+    "scs": (["--alpha", "1.2"], "operator"),
+    "mixture-scs": (["--alpha", "1"], "closed-form"),
+    "decohered-scs": (["--alpha", "1", "--tau", "0.3"], "closed-form"),
+    "squeezed": (["--s", "0.5"], "operator"),
+    "gaussian": (["--A", "3", "--B", "3"], "closed-form"),
+    "thermal": (["--nbar", "0.5"], "closed-form"),
+    "thermal-scs": (["--V", "2", "--d", "1"], "closed-form"),
+    "ghz": (["--n-modes", "8"], "low-rank"),
+    "noon": (["--n", "2"], "low-rank"),
+    "dur": (["--n-modes", "4", "--epsilon", "0.3"], "low-rank"),
+    "maximally-mixed": (["--dim", "4"], "operator"),
+}
+
+
 def test_measure_default_routes(capsys):
-    rc, out, _ = run(capsys, "measure", "--state", "gaussian", "--A", "3", "--B", "3")
-    assert json.loads(out)["route"] == "closed-form"
+    assert set(DEFAULT_ROUTES) == set(STATES)
+    for name, (flags, route) in DEFAULT_ROUTES.items():
+        rc, out, err = run(capsys, "measure", "--state", name, *flags)
+        assert rc == 0 and err == "", name
+        assert json.loads(out)["route"] == route, name
     rc, out, _ = run(capsys, "measure", "--state", "ghz", "--n-modes", "8")
-    payload = json.loads(out)
-    assert payload["route"] == "low-rank"
-    assert payload["value"] == 4.0
+    assert json.loads(out)["value"] == 4.0
 
 
 def test_measure_dur_routes_agree(capsys):
@@ -80,6 +102,42 @@ def test_measure_route_without_dense_form_fails_cleanly(capsys):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert "Fock" in payload["message"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--state", "fock", "--n", "2", "--route", "low-rank"], 1),
+    (["--state", "gaussian", "--A", "2", "--B", "0.5", "--route", "low-rank"], 1),
+    (["--state", "fock", "--n", "2", "--route", "closed-form"], 1),
+    (["--state", "noon", "--n", "2", "--route", "closed-form"], 1),
+    (["--state", "ghz", "--n-modes", "3", "--route", "char-quadrature"], 1),
+    (["--state", "gaussian", "--A", "2", "--B", "0.5", "--route", "operator"], 1),
+    (["--state", "fock", "--n", "2", "--route", "monte-carlo"], 2),
+    (["--state", "noon"], 2),
+], ids=["lowrank-dense", "lowrank-char", "closed-fock", "closed-noon",
+        "quadrature-multimode", "operator-char", "unknown-route", "missing-flag"])
+def test_route_state_mismatch_exits_1_and_usage_errors_exit_2(capsys, argv, code):
+    try:
+        rc, out, err = run(capsys, "measure", *argv)
+    except SystemExit as exc:
+        rc, out, err = exc.code, "", ""
+    assert rc == code
+    if code == 1:
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert argv[-1] in payload["message"]  # names the route
+
+
+def test_readme_quick_start_commands_run(tmp_path, monkeypatch, capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("macroq ")]
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)  # the examples write and read files in place
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_cutoff_env_var_is_honored(capsys, monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 
 from macroq.fock import (
     DensityMatrix,
-    Ket,
     ModeCutoffs,
     TruncationLeakError,
     a_rho_adag,
@@ -54,20 +53,6 @@ def test_suggest_cutoff_grows_with_mean_occupation():
     k = np.arange(cut)
     mass = np.exp(-nbar) * np.cumsum(nbar ** k / np.cumprod(np.maximum(k, 1)))
     assert 1.0 - mass[-1] < 1e-6
-
-
-def test_ket_rejects_wrong_size_and_bad_norm():
-    with pytest.raises(ValueError):
-        Ket(3, np.ones(4))
-    with pytest.raises(ValueError):
-        Ket(3, np.array([1.0, 0.5, 0.0]))
-
-
-def test_ket_density_is_projector():
-    amp = np.array([1.0, 1.0j]) / np.sqrt(2)
-    rho = Ket(2, amp).density()
-    np.testing.assert_allclose(rho.data, np.outer(amp, amp.conj()), atol=1e-15)
-    assert rho.purity() == pytest.approx(1.0)
 
 
 def test_density_matrix_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from macroq import catalog, phasespace
-from macroq.fock import DensityMatrix, Ket, ModeCutoffs, annihilation_op, number_op
+from macroq.fock import DensityMatrix, ModeCutoffs, annihilation_op, number_op
 from macroq.measure import (
     ConvergenceError,
     MeasureResult,
@@ -96,7 +96,7 @@ def test_quadrature_route_matches_operator():
 
 
 def test_quadrature_route_closed_form_char():
-    chi = catalog.thermal_scs_char(2.0, 1.0)
+    chi = catalog.ThermalSCSChar(2.0, 1.0)
     res = measure_char_quadrature(chi, radial_cut=None)
     assert res.value == pytest.approx(catalog.thermal_scs_measure(2.0, 1.0).value,
                                       abs=1e-9)
@@ -154,10 +154,24 @@ def test_dispatcher_routes_and_ket_support():
     for route in ("operator", "char-quadrature", "wigner-grid"):
         res = measure(rho, route=route)
         assert abs(res.value) < 1e-6, route
-    amp = np.zeros(5)
-    amp[1] = 1.0
-    res = measure(Ket(5, amp))
+    # a pure state built from its amplitudes takes the operator route by default
+    res = measure(catalog.make_fock(1, 5))
+    assert res.route == "operator"
     assert res.value == pytest.approx(1.0, abs=1e-12)
+    # a product-rank state defaults to low-rank and reaches the dense routes
+    ghz = catalog.make_ghz(6)
+    res = measure(ghz)
+    assert res.route == "low-rank"
+    assert res.value == pytest.approx(3.0, abs=1e-12)
+    res = measure(ghz, "operator")
+    assert res.route == "operator"
+    assert res.value == pytest.approx(3.0, abs=1e-12)
+    # a characteristic function defaults to the quadrature route
+    res = measure(catalog.GaussianChar(3.0, 0.5))
+    assert res.route == "char-quadrature"
+    assert res.value == pytest.approx(catalog.gaussian_measure(3.0, 0.5).value, abs=1e-9)
+    with pytest.raises(ValueError, match="operator route .* GaussianChar"):
+        measure(catalog.GaussianChar(3.0, 0.5), "operator")
 
 
 def test_dispatcher_rejects_unknown_route():
