@@ -209,9 +209,14 @@ def cmd_sweep(parser, args) -> int:
 
 def cmd_emit_wigner(parser, args) -> int:
     entry, values, cut = _state_args(parser, args)
-    state = _dense(entry.build(*values, cut))
-    if state.cutoffs.modes != 1:
-        parser.error("Wigner grids are single-mode")
+    state = entry.build(*values, cut)
+    # checked before _dense, which would expand a product-rank state first
+    modes = state.modes if isinstance(state, ProductRankState) else \
+        state.cutoffs.modes if isinstance(state, DensityMatrix) else 1
+    if modes > 1:
+        raise ValueError(f"Wigner grids are single-mode, and state {args.state} "
+                         f"has {modes} modes")
+    state = _dense(state)
     axes = {}
     if args.half_width is not None:
         ax = phasespace.Axis(-args.half_width, args.half_width, args.points)

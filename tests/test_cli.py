@@ -128,6 +128,21 @@ def test_route_state_mismatch_exits_1_and_usage_errors_exit_2(capsys, argv, code
         assert argv[-1] in payload["message"]  # names the route
 
 
+@pytest.mark.parametrize("argv", [
+    ["--state", "ghz", "--n-modes", "3"],
+    ["--state", "noon", "--n", "2"],
+    ["--state", "dur", "--n-modes", "3", "--epsilon", "0.4"],
+], ids=["ghz", "noon", "dur"])
+def test_emit_wigner_multimode_exits_1(capsys, tmp_path, argv):
+    out_file = tmp_path / "g.wig"
+    rc, out, err = run(capsys, "emit-wigner", *argv, "--output", str(out_file))
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "single-mode" in payload["message"]
+    assert not out_file.exists()
+
+
 def test_readme_quick_start_commands_run(tmp_path, monkeypatch, capsys):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]

@@ -111,6 +111,67 @@ def test_quadrature_route_flags_bad_cut():
     assert partial.err_estimate > 0
 
 
+class _CountingChar:
+    """Passes calls through to a DenseChar and counts angular_mean_sq calls."""
+
+    def __init__(self, chi):
+        self._chi = chi
+        self.calls = 0
+
+    def __call__(self, xi):
+        return self._chi(xi)
+
+    def angular_mean_sq(self, r):
+        self.calls += 1
+        return self._chi.angular_mean_sq(r)
+
+    @property
+    def mean_n(self):
+        return self._chi.mean_n
+
+    @property
+    def purity(self):
+        return self._chi.purity
+
+
+def test_quadrature_route_batches_radial_evaluations():
+    # one call for the probe, one per refinement level, one for the tail:
+    # a route that asked for the integrand radius by radius makes thousands
+    chi = _CountingChar(phasespace.char_of(catalog.make_scs(2.0, 40)))
+    res = measure_char_quadrature(chi, radial_cut=None)
+    assert chi.calls <= 10
+    assert res.value == pytest.approx(catalog.closed_form_scs(2.0).value, abs=1e-9)
+
+
+class _BareChar:
+    """Only the callable of a DenseChar, so the angle is trapezoid-sampled."""
+
+    def __init__(self, chi):
+        self._chi = chi
+
+    def __call__(self, xi):
+        return self._chi(xi)
+
+
+@pytest.mark.parametrize("state", [catalog.make_scs(1.5, 45),
+                                   catalog.make_squeezed(0.55, 40)],
+                         ids=["cat", "squeezed"])
+def test_quadrature_trapezoid_angle_matches_exact_angle(state):
+    chi = phasespace.char_of(state)
+    exact = measure_char_quadrature(chi, radial_cut=None)
+    sampled = measure_char_quadrature(_BareChar(chi), radial_cut=None)
+    assert sampled.value == pytest.approx(exact.value, abs=1e-9)
+
+
+def test_quadrature_route_warns_when_panel_budget_runs_out():
+    # |chi|^2 jumps at r = 1.234, so the panel holding the jump never settles
+    def step(xi):
+        return (np.abs(xi) < 1.234).astype(float)
+    with pytest.raises(ConvergenceError) as exc:
+        measure_char_quadrature(step, radial_cut=3.0)
+    assert any("unconverged" in w for w in exc.value.partial.warnings)
+
+
 def test_quadrature_route_separable_product():
     a = phasespace.char_of(catalog.make_coherent(0.8, 14))
     b = phasespace.char_of(catalog.make_thermal(0.5, 18))
