@@ -219,7 +219,10 @@ def cmd_emit_wigner(parser, args) -> int:
     state = _dense(state)
     axes = {}
     if args.half_width is not None:
-        ax = phasespace.Axis(-args.half_width, args.half_width, args.points)
+        points = args.points
+        if points is None:
+            points = phasespace.default_points(state, args.half_width)
+        ax = phasespace.Axis(-args.half_width, args.half_width, points)
         axes = {"x_axis": ax, "p_axis": ax}
     grid = phasespace.wigner_of(state, points=args.points, **axes)
     words = [args.state]  # e.g. "scs alpha=2"
@@ -359,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-wigner", help="sample a state's Wigner function to a file")
     _add_state_flags(p)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=int,
+                   help="points per axis (default: sized from the state's Fock bandwidth)")
     p.add_argument("--half-width", type=float)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_emit_wigner)

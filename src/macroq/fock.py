@@ -228,29 +228,36 @@ def exchange_trace(rho: np.ndarray, cutoffs, mode: int) -> float:
     return float(np.einsum("lry,lry,y->r", upper, lower, col_w) @ row_w)
 
 
-def _displaced_diagonals(k: int, r: np.ndarray, nmax: int) -> np.ndarray:
-    """Matrix elements <n+k| D(r) |n> for real r > 0, n = 0..nmax-1.
+def _displaced_columns(r: np.ndarray, k: np.ndarray, nmax: np.ndarray):
+    """Yield (n, f) with f[i, j] = <n+k_i| D(r_j) |n> for real r_j > 0.
 
-    Returns shape (nmax, r.size).  Uses the normalized three-term recurrence in
-    n, which stays bounded by 1 in magnitude (the elements belong to a unitary),
-    so there is no overflow for any cutoff or radius of practical interest.
+    ``k`` lists the diagonals, ascending, and ``nmax[i]`` is how many levels n
+    diagonal k_i needs.  At level n, f covers the diagonals up to the last one
+    that still needs level n, so its row count never grows, and the generator
+    stops after the last level any diagonal needs.  The normalized three-term
+    recurrence in n runs for all the diagonals at once and stays bounded by 1
+    in magnitude (the elements belong to a unitary), so there is no overflow
+    for any cutoff or radius of practical interest.  Three buffers rotate, so
+    a yielded f is only safe to read until the generator advances.
     """
     r = np.asarray(r, dtype=float)
+    nmax = np.asarray(nmax)
     x = r * r
-    out = np.zeros((nmax, r.size))
-    f0 = np.exp(-0.5 * x + k * np.log(r) - 0.5 * gammaln(k + 1.0))
-    out[0] = f0
-    if nmax == 1:
-        return out
-    fm1 = np.zeros_like(f0)
-    fn = f0
-    for n in range(nmax - 1):
-        a = (2.0 * n + k + 1.0 - x) / np.sqrt((n + 1.0) * (n + k + 1.0))
-        b = -np.sqrt(n * (n + k) / ((n + 1.0) * (n + k + 1.0))) if n > 0 else 0.0
-        fnew = a * fn + b * fm1
-        out[n + 1] = fnew
-        fm1, fn = fn, fnew
-    return out
+    kk = np.asarray(k, dtype=float)[:, None]
+    f = np.exp(-0.5 * x + kk * np.log(r) - 0.5 * gammaln(kk + 1.0))
+    fm1 = np.zeros_like(f)
+    spare = np.empty_like(f)
+    for n in range(int(nmax.max(initial=0))):
+        rows = int(np.nonzero(nmax > n)[0][-1]) + 1
+        f, fm1, spare, kk = f[:rows], fm1[:rows], spare[:rows], kk[:rows]
+        yield n, f
+        # f_{n+1} = a f_n + b f_{n-1}, written into the spare buffer
+        np.subtract(2.0 * n + kk + 1.0, x, out=spare)
+        spare /= np.sqrt((n + 1.0) * (n + kk + 1.0))
+        spare *= f
+        fm1 *= -np.sqrt(n * (n + kk) / ((n + 1.0) * (n + kk + 1.0)))
+        spare += fm1
+        f, fm1, spare = spare, f, fm1
 
 
 def displacement_matrix(cutoff: int, beta: complex) -> np.ndarray:
@@ -266,15 +273,12 @@ def displacement_matrix(cutoff: int, beta: complex) -> np.ndarray:
     if r == 0.0:
         np.fill_diagonal(D, 1.0)
         return D
-    phi = np.angle(beta)
-    rr = np.array([r])
-    for k in range(cutoff):
-        nmax = cutoff - k
-        f = _displaced_diagonals(k, rr, nmax)[:, 0]
-        n = np.arange(nmax)
-        D[n + k, n] = f * np.exp(1j * k * phi)
-        if k > 0:
-            D[n, n + k] = (-1.0) ** k * f * np.exp(-1j * k * phi)
+    k = np.arange(cutoff)
+    phase = np.exp(1j * k * np.angle(beta))
+    for n, f in _displaced_columns(np.array([r]), k, cutoff - k):
+        m = f.shape[0]
+        D[n + k[:m], n] = f[:, 0] * phase[:m]
+        D[n, n + k[1:m]] = (-1.0) ** k[1:m] * f[1:, 0] * phase[1:m].conj()
     return D
 
 

@@ -9,6 +9,13 @@ Conventions for a single mode with alpha = x + i p:
 
 so Wigner data lives on an (x, p) grid and characteristic data on the dual
 (xi_r, xi_i) grid whose natural extents are pi / (2 * step).
+
+Two evaluators of W share no code.  ``wigner_points`` sums displaced parities
+over the matrix diagonals at any points, O(D^2) per point, and is the
+reference.  ``wigner_of`` fills a whole grid from the position
+representation, W(q, p) = (1/pi) int <q+y| rho |q-y> e^{-2ipy} dy in
+quadrature units q = sqrt2 x, and sizes its default grid from the state's
+Fock bandwidth.
 """
 
 from __future__ import annotations
@@ -19,13 +26,50 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .fock import DensityMatrix, _displaced_diagonals
+from .fock import DensityMatrix, _displaced_columns
 
 _TRIM = 1e-16
+_CHUNK = 1 << 18  # diagonals x radii per pass of the recurrence
 
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation of chi and W from a dense matrix
+
+def _diagonal_sums(w: np.ndarray, r: np.ndarray):
+    """Yield (chunk, k, c) with c[..., i, j] = sum_n <n+k_i| D(r_j) |n> w[..., k_i, n].
+
+    ``w`` holds weights along the Fock-matrix diagonals, w[..., k, n] for the
+    element (n, n+k) or (n+k, n), and r > 0.  Diagonal k stops at its last
+    level whose summed |w| exceeds _TRIM * max|w|; ``k`` lists the diagonals
+    that have such a level, and the others are skipped.  The radii go through
+    the recurrence in chunks of about _CHUNK // D, so memory stays O(D * chunk)
+    for any number of radii.
+    """
+    D, N = w.shape[-2:]
+    mass = np.abs(w).reshape(-1, D, N).sum(axis=0)
+    sig = mass > _TRIM * float(np.abs(w).max())
+    k = np.nonzero(sig.any(axis=1))[0]
+    nmax = N - np.argmax(sig[k, ::-1], axis=1)
+    # real and imaginary parts apart, so the radial factors multiply reals
+    parts = np.stack([w.real[..., k, :], w.imag[..., k, :]])
+    step = max(1, _CHUNK // D)
+    for lo in range(0, r.size, step):
+        chunk = slice(lo, lo + step)
+        acc = np.zeros(parts.shape[:-1] + (r[chunk].size,))
+        for n, f in _displaced_columns(r[chunk], k, nmax):
+            rows = f.shape[0]
+            acc[..., :rows, :] += f * parts[..., :rows, n, None]
+        yield chunk, k[:, None], acc[0] + 1j * acc[1]
+
+
+def _diagonals(mat: np.ndarray) -> np.ndarray:
+    """The diagonals of ``mat`` as rows: out[d, n] = mat[n, n + d], zero past the end."""
+    D = mat.shape[0]
+    n = np.arange(D)
+    col = n[None, :] + n[:, None]
+    inside = col < D
+    return np.where(inside, mat[n[None, :], np.where(inside, col, 0)], 0.0)
+
 
 def char_points(mat: np.ndarray, pts) -> np.ndarray:
     """Evaluate Tr[mat D(xi)] at arbitrary complex points.
@@ -33,7 +77,7 @@ def char_points(mat: np.ndarray, pts) -> np.ndarray:
     ``mat`` is any square matrix in the Fock basis (not necessarily Hermitian;
     the Wigner evaluator feeds a parity-weighted one).  The sum runs over the
     matrix diagonals, so the angular dependence is exact and the radial factors
-    come from the bounded recurrence in :func:`fock._displaced_diagonals`.
+    come from the bounded recurrence in :func:`fock._displaced_columns`.
     """
     pts = np.asarray(pts, dtype=complex)
     flat = pts.ravel()
@@ -45,24 +89,16 @@ def char_points(mat: np.ndarray, pts) -> np.ndarray:
     if nz.any():
         r = np.abs(flat[nz])
         th = np.angle(flat[nz])
-        acc = np.zeros(r.size, dtype=complex)
-        scale = float(np.abs(mat).max())
-        D = mat.shape[0]
-        for k in range(D):
-            upper = mat.diagonal(k)
-            mass = np.abs(upper) if k == 0 else np.abs(upper) + np.abs(mat.diagonal(-k))
-            sig = np.nonzero(mass > _TRIM * scale)[0]
-            if sig.size == 0:
-                continue
-            nmax = int(sig[-1]) + 1
-            f = _displaced_diagonals(k, r, nmax)
-            gk = f.T @ upper[:nmax]
-            if k == 0:
-                acc += gk
-            else:
-                gmk = f.T @ mat.diagonal(-k)[:nmax]
-                acc += gk * np.exp(1j * k * th) + (-1.0) ** k * gmk * np.exp(-1j * k * th)
-        out[nz] = acc
+        # Tr[mat D] pairs mat[n, n+k] with <n+k|D|n> = f e^{ik th}, and
+        # mat[n+k, n] with <n|D|n+k> = (-1)^k f e^{-ik th}; the main diagonal
+        # counts once
+        w = np.stack([_diagonals(mat), _diagonals(mat.T)])
+        w[1, 0] = 0.0
+        vals = np.empty(r.size, dtype=complex)
+        for chunk, k, (up, down) in _diagonal_sums(w, r):
+            turn = np.exp(1j * k * th[chunk])
+            vals[chunk] = (up * turn + (-1.0) ** k * down * turn.conj()).sum(axis=0)
+        out[nz] = vals
     return out.reshape(pts.shape)
 
 
@@ -76,19 +112,11 @@ def _angular_mean_sq(rho: np.ndarray, r) -> np.ndarray:
     acc = np.zeros(r.size)
     zero = r == 0.0
     nz = ~zero
-    scale = float(np.abs(rho).max())
-    D = rho.shape[0]
     if nz.any():
-        rs = r[nz]
-        for k in range(D):
-            dk = rho.diagonal(k)
-            sig = np.nonzero(np.abs(dk) > _TRIM * scale)[0]
-            if sig.size == 0:
-                continue
-            nmax = int(sig[-1]) + 1
-            ck = _displaced_diagonals(k, rs, nmax).T @ dk[:nmax]
-            term = np.abs(ck) ** 2
-            acc[nz] += term if k == 0 else 2.0 * term
+        vals = np.empty(int(nz.sum()))
+        for chunk, k, c in _diagonal_sums(_diagonals(rho), r[nz]):
+            vals[chunk] = (np.where(k == 0, 1.0, 2.0) * np.abs(c) ** 2).sum(axis=0)
+        acc[nz] = vals
     if zero.any():
         acc[zero] = float(np.abs(rho.trace()) ** 2)
     return acc
@@ -197,25 +225,127 @@ class WignerGrid:
         return float(np.pi * (self.values ** 2).sum() * self.cell)
 
 
+# ---------------------------------------------------------------------------
+# sampling W in the position representation
+
+_SUPPORT_MARGIN = 8.0  # quadrature units past the outermost turning point
+_CHI_DECAY = 5.0       # |xi| past sqrt(4 n + 2) at which chi has decayed
+_MIN_POINTS = 201
+
+
+def _significant_level(rho: np.ndarray) -> int:
+    """Highest Fock level whose row of rho holds an entry above _TRIM * max|rho|."""
+    row = np.abs(rho).max(axis=1)
+    return int(np.nonzero(row > _TRIM * row.max())[0][-1])
+
+
+def default_points(state: DensityMatrix, half_width: float) -> int:
+    """Points per axis of the default grid on [-half_width, half_width].
+
+    The grid route transforms the samples onto the dual chi grid, whose edge
+    lies at pi / (2 * step).  Up to Fock level n, chi oscillates out to
+    |xi| = sqrt(4 n + 2), the turning point of its Laguerre factor, and decays
+    past it; the step puts the edge _CHI_DECAY beyond that for the state's
+    highest significant level.  The count is odd, so the origin is a sample,
+    and at least 201.
+    """
+    edge = np.sqrt(4.0 * _significant_level(state.data) + 2.0) + _CHI_DECAY
+    n = max(_MIN_POINTS, int(np.ceil(4.0 * half_width * edge / np.pi)) + 1)
+    return n + (n % 2 == 0)
+
+
+def _hermite_functions(n: int, u: np.ndarray) -> np.ndarray:
+    """Normalized Hermite functions psi_0 .. psi_{n-1} at the points u, shape (n, u.size).
+
+    The three-term recurrence runs on psi / g with g = pi^{-1/4} exp(-u^2 / 2)
+    kept as a logarithm, and a column that grows past 1e100 is scaled back
+    into g, so neither factor leaves the float range at large |u| or n.
+    """
+    out = np.empty((n, u.size))
+    log_g = -0.5 * u * u - 0.25 * np.log(np.pi)
+    g = np.exp(log_g)
+    prev, cur = np.zeros(u.size), np.ones(u.size)
+    for k in range(n):
+        out[k] = cur * g
+        prev, cur = cur, np.sqrt(2.0 / (k + 1.0)) * u * cur - np.sqrt(k / (k + 1.0)) * prev
+        big = np.abs(cur) > 1e100
+        if big.any():
+            cur[big] *= 1e-100
+            prev[big] *= 1e-100
+            log_g[big] += 100.0 * np.log(10.0)
+            g = np.exp(log_g)
+    return out
+
+
+def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
+    """W on the (x, p) grid from the position representation of rho.
+
+    In quadrature units q = sqrt2 x, W(q, p) = (1/pi) int <q+y| rho |q-y>
+    e^{-2ipy} dy, and W_alpha(x, p) = 2 W(sqrt2 x, sqrt2 p).  The q-lattice
+    has m points per x step and spans the state's support |q| <= S; the
+    bracket is gathered for every x at once along the lattice, from the
+    eigenvectors of rho in position space, and a real cos/sin sum in y maps
+    it onto the p axis.  The y-sum repeats W in p with period pi m / (2 dx),
+    so m is the least that keeps every copy of the support off the p axis.
+    Memory is O(N_x * N_u + N_u * N_p) for N_u lattice points.
+    """
+    n = _significant_level(rho) + 1
+    lam, vecs = np.linalg.eigh(rho[:n, :n])
+    keep = np.abs(lam) > _TRIM * np.abs(lam).max()
+    lam, vecs = lam[keep], vecs[:, keep]
+    support = np.sqrt(2.0 * n + 1.0) + _SUPPORT_MARGIN
+    dx, ps = x_axis.step, p_axis.points
+    m = max(1, int(np.ceil((np.abs(ps).max() + support / np.sqrt(2.0)) * 2.0 * dx / np.pi)))
+    h = np.sqrt(2.0) * dx / m
+    q0 = np.sqrt(2.0) * x_axis.start
+    lo = int(np.floor((-support - q0) / h))
+    hi = int(np.ceil((support - q0) / h))
+    nu = hi - lo + 1
+    # <q|v> for every kept eigenvector, plus a zero row that stands for the
+    # lattice points past the support
+    psi = np.zeros((nu + 1, lam.size), dtype=complex)
+    psi[:nu] = _hermite_functions(n, q0 + h * np.arange(lo, hi + 1)).T @ vecs
+    j = np.arange((nu + 1) // 2)
+    centre = m * np.arange(x_axis.n)[:, None] - lo
+    up, down = centre + j, centre - j
+    outside = (up >= nu) | (down < 0)
+    up[outside] = nu
+    down[outside] = nu
+    bracket = np.zeros(up.shape, dtype=complex)
+    for weight, col in zip(lam, psi.T):
+        bracket += weight * col[up] * col[down].conj()
+    # <q-y|rho|q+y> is the conjugate of <q+y|rho|q-y>, so the y-sum folds
+    # onto y >= 0 as twice the real part, with y = 0 counted once
+    arg = 2.0 * np.sqrt(2.0) * h * np.outer(j, ps)
+    fold = np.where(j == 0, 1.0, 2.0)[:, None]
+    basis = np.vstack([fold * np.cos(arg), fold * np.sin(arg)])
+    return (2.0 * h / np.pi) * (np.hstack([bracket.real, bracket.imag]) @ basis)
+
+
 def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
-              p_axis: Axis | None = None, points: int = 201,
+              p_axis: Axis | None = None, points: int | None = None,
               tol: Tolerances = DEFAULT) -> WignerGrid:
     """Sample the Wigner function of a dense single-mode state.
 
-    Default extents scale with the occupation so that the tails of ordinary
-    states (including strongly squeezed ones) fall below the boundary-leak
-    tolerance; pass explicit axes to override.  Emits warnings rather than
-    failing, since a clipped grid is still useful to look at; the scoring
-    routine re-checks the same conditions and treats them as errors.
+    The samples come from the position representation of the state
+    (:func:`_sample_wigner`), not from :func:`wigner_points`, which stays
+    the pointwise reference.  Default axes span +-4.3 sqrt(2 nbar + 1), so
+    the tails of ordinary states (including strongly squeezed ones) fall
+    below the boundary-leak tolerance, at ``points`` points per axis or, by
+    default, at :func:`default_points`, which sizes the step from the
+    state's Fock bandwidth.  Explicit axes override the defaults.  Emits
+    warnings rather than failing, since a clipped grid is still useful to
+    look at; the scoring routine re-checks the same conditions and treats
+    them as errors.
     """
+    if state.cutoffs.modes != 1:
+        raise ValueError("wigner_of handles single-mode states")
     if x_axis is None or p_axis is None:
         hw = 4.3 * np.sqrt(2.0 * state.mean_number() + 1.0)
-        auto = Axis(-hw, hw, points)
+        auto = Axis(-hw, hw, default_points(state, hw) if points is None else points)
         x_axis = x_axis or auto
         p_axis = p_axis or auto
-    xs, ps = x_axis.points, p_axis.points
-    alphas = xs[:, None] + 1j * ps[None, :]
-    vals = wigner_points(state, alphas)
+    vals = _sample_wigner(state.data, x_axis, p_axis)
     grid = WignerGrid(x_axis, p_axis, vals, meta={"convention": "alpha-plane"})
     peak = float(np.abs(vals).max())
     edge = max(np.abs(vals[0, :]).max(), np.abs(vals[-1, :]).max(),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macroq import catalog
+from macroq import catalog, phasespace
 from macroq.cli import STATES, main
 from macroq.measure import measure_operator
 
@@ -222,6 +222,32 @@ def test_emit_and_score_wigner_round_trip(tmp_path, capsys):
     ref = measure_operator(catalog.make_scs(1.5)).value
     assert payload["value"] == pytest.approx(ref, abs=1e-6)
     assert payload["route"] == "wigner-grid"
+
+
+def test_emit_wigner_default_points_follow_state(tmp_path, capsys):
+    rho = catalog.make_scs(3.0)
+    hw = 4.3 * np.sqrt(2 * rho.mean_number() + 1)
+    path = tmp_path / "cat.wig"
+    rc, _, _ = run(capsys, "emit-wigner", "--state", "scs", "--alpha", "3",
+                   "--output", str(path))
+    assert rc == 0
+    assert phasespace.load_wigner(path).x.n == phasespace.default_points(rho, hw) > 201
+    rc, _, _ = run(capsys, "emit-wigner", "--state", "scs", "--alpha", "3",
+                   "--half-width", "8", "--output", str(path))
+    assert rc == 0
+    grid = phasespace.load_wigner(path)
+    assert (grid.x.start, grid.x.stop) == (-8.0, 8.0)
+    assert grid.x.n == phasespace.default_points(rho, 8.0)
+
+
+def test_measure_squeezed_wigner_grid_within_its_error_bar(capsys):
+    rc, out, _ = run(capsys, "measure", "--state", "squeezed", "--s", "1.5",
+                     "--route", "wigner-grid")
+    assert rc == 0
+    payload = json.loads(out)
+    # the operator route on the same truncated state (dim 224): 4.53383099222
+    exact = measure_operator(catalog.make_squeezed(1.5)).value
+    assert abs(payload["value"] - exact) <= payload["err_estimate"] < 1e-3
 
 
 def test_score_wigner_normalization_modes(tmp_path, capsys):

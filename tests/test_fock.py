@@ -7,6 +7,7 @@ import pytest
 
 from macroq.fock import (
     DensityMatrix,
+    _displaced_columns,
     ModeCutoffs,
     TruncationLeakError,
     a_rho_adag,
@@ -160,6 +161,32 @@ def test_density_matrix_tiled_hermitian_part_matches_whole_array():
         dev = float(np.abs(bad - bad.conj().T).max())
         with pytest.raises(ValueError, match=re.escape(f"max deviation {dev:.3e}")):
             DensityMatrix(600, bad)
+
+
+def test_displaced_columns_match_laguerre_closed_form():
+    # <n+k| D(r) |n> = sqrt(n!/(n+k)!) r^k e^{-r^2/2} L_n^(k)(r^2), evaluated
+    # in mpmath, at the squeezed s=1.5 dimension over the radii the routes
+    # reach, including small r on far diagonals, where r^k underflows long
+    # before the recurrence ends.  The forward recurrence adds a rounding per
+    # level, so the bound grows by a few eps per level: measured worst 3.3e-13
+    # at k = 0, n = 222, r = 1e-3, against 1e-13 + 8 (n + 1) eps = 4.9e-13.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    dim = 224
+    radii = [1e-3, 0.05, 0.3, 2.0, 7.5, 15.0]
+    k = np.arange(dim)
+    table = np.zeros((dim, dim, len(radii)))
+    for n, f in _displaced_columns(np.array(radii), k, dim - k):
+        table[:f.shape[0], n] = f
+    eps = np.finfo(float).eps
+    for kk in [*range(0, dim, 7), dim - 1]:
+        for n in [*range(0, dim - kk, 7), dim - 1 - kk]:
+            bound = 1e-13 + 8 * (n + 1) * eps
+            for j, rr in enumerate(radii):
+                x = mpmath.mpf(rr) ** 2
+                exact = mpmath.exp((mpmath.loggamma(n + 1) - mpmath.loggamma(n + kk + 1)) / 2
+                                   + kk * mpmath.log(rr) - x / 2) * mpmath.laguerre(n, kk, x)
+                assert abs(table[kk, n, j] - float(exact)) <= bound, (kk, n, rr)
 
 
 def test_displacement_matrix_ground_column():

@@ -191,6 +191,20 @@ def test_wigner_grid_route_matches_operator():
     assert res.value == pytest.approx(measure_operator(rho).value, abs=1e-6)
 
 
+@pytest.mark.parametrize("make, exact", [
+    (lambda: catalog.make_scs(3.0, 40), lambda: catalog.closed_form_scs(3.0).value),
+    (lambda: catalog.make_squeezed(1.5),
+     lambda: catalog.gaussian_measure(*catalog.squeezed_char_params(1.5)).value),
+    (lambda: catalog.make_fock(10, 12), lambda: 10.0),
+], ids=["cat3", "squeezed1.5", "fock10"])
+def test_wigner_grid_default_resolution_meets_closed_form(make, exact):
+    # the dispatcher samples at the bandwidth-sized default grid
+    res = measure(make(), "wigner-grid")
+    gap = abs(res.value - exact())
+    assert gap <= 1e-6
+    assert res.err_estimate >= gap
+
+
 def test_wigner_grid_route_rejects_clipped_grid():
     rho = catalog.make_scs(1.5, 45)
     ax = phasespace.Axis(-2.0, 2.0, 64)

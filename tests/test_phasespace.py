@@ -1,16 +1,20 @@
 """Characteristic functions, Wigner grids, transforms, and the text formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from macroq import catalog
 from macroq.phasespace import (
     Axis,
+    _hermite_functions,
     DenseChar,
     WignerGrid,
     _char_from_arrays,
     char_of,
     char_points,
+    default_points,
     fringe_frequency,
     load_wigner,
     save_wigner,
@@ -99,6 +103,88 @@ def test_wigner_of_warns_when_window_clips():
     ax = Axis(-1.5, 1.5, 41)
     with pytest.warns(RuntimeWarning):
         wigner_of(rho, x_axis=ax, p_axis=ax)
+
+
+def test_wigner_of_warns_when_grid_misses_the_norm():
+    rho = catalog.make_coherent(2.0, 30)
+    ax = Axis(-1.5, 1.5, 41)
+    with pytest.warns(RuntimeWarning) as caught:
+        wigner_of(rho, x_axis=ax, p_axis=ax)
+    messages = [str(w.message) for w in caught]
+    assert any("clips the state" in m for m in messages)
+    assert any("norm" in m and "deviates from 1" in m for m in messages)
+
+
+def test_hermite_functions_stay_orthonormal_past_the_float_range():
+    # at n = 700 the functions reach |u| ~ 38, where exp(-u^2 / 2) alone
+    # underflows; the trapezoid Gram matrix is exact for these integrands
+    u = np.arange(-48.0, 48.0, 0.05)
+    phi = _hermite_functions(700, u)
+    gram = 0.05 * phi @ phi.T
+    assert np.abs(gram - np.eye(700)).max() < 1e-12
+
+
+ORACLE_STATES = {
+    "squeezed1.5": lambda: catalog.make_squeezed(1.5),
+    "cat2": lambda: catalog.make_scs(2.0, 40),
+    "cat3": lambda: catalog.make_scs(3.0, 40),
+    "decohered-cat": lambda: catalog.make_decohered_scs(1.5, 0.3, 30),
+    "thermal": lambda: catalog.make_thermal(1.0, 40),
+    "fock5": lambda: catalog.make_fock(5, 12),
+    "coherent": lambda: catalog.make_coherent(0.9 - 0.6j, 30),
+}
+
+
+def _oracle_gap(rho, grid, step=1):
+    """max |wigner_of - wigner_points| over every step-th sample, relative to the peak."""
+    ix = np.unique(np.r_[0:grid.x.n:step, grid.x.n - 1])
+    ip = np.unique(np.r_[0:grid.p.n:step, grid.p.n - 1])
+    ref = wigner_points(rho, grid.x.points[ix, None] + 1j * grid.p.points[None, ip])
+    return np.abs(grid.values[np.ix_(ix, ip)] - ref).max() / np.abs(grid.values).max()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_STATES))
+def test_wigner_of_matches_pointwise_oracle(name):
+    # the position-space sampler against the displaced-parity sum, on the
+    # default grid (every 15th sample keeps the oracle cheap at dim 224)
+    rho = ORACLE_STATES[name]()
+    grid = wigner_of(rho)
+    assert _oracle_gap(rho, grid, step=15) <= 1e-12
+
+
+@pytest.mark.parametrize("x_axis, p_axis", [
+    (Axis(-4.0, 4.0, 21), Axis(-4.0, 4.0, 21)),    # coarse
+    (Axis(-2.5, 5.5, 41), Axis(-6.0, 3.0, 33)),    # off-centre, x and p differ
+    (Axis(-3.0, 3.0, 17), Axis(-7.0, 7.0, 201)),   # coarse x, fine wide p
+], ids=["coarse", "offset", "mixed"])
+@pytest.mark.parametrize("name", ["coherent", "cat3", "squeezed1.5"])
+def test_wigner_of_explicit_axes_match_pointwise_oracle(name, x_axis, p_axis):
+    # a coarse or off-centre axis must neither alias nor shift the samples;
+    # these windows clip some states, which only warns
+    rho = ORACLE_STATES[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        grid = wigner_of(rho, x_axis=x_axis, p_axis=p_axis)
+    assert _oracle_gap(rho, grid) <= 1e-12
+
+
+def test_default_points_follow_fock_bandwidth():
+    # the dual chi grid must reach past the turning point sqrt(4 n + 2) of the
+    # highest Fock level; the count is odd and never below 201
+    counts = []
+    for n in (0, 30, 60):
+        rho = catalog.make_fock(n, n + 2)
+        count = default_points(rho, 20.0)
+        assert count % 2 == 1 and count >= 201
+        step = 40.0 / (count - 1)
+        assert np.pi / (2 * step) >= np.sqrt(4 * n + 2)
+        counts.append(count)
+    assert counts[0] == 201 and counts[0] < counts[1] < counts[2]
+    # and the default grid of wigner_of is that size
+    rho = catalog.make_scs(3.0, 40)
+    grid = wigner_of(rho)
+    hw = 4.3 * np.sqrt(2 * rho.mean_number() + 1)
+    assert grid.x.n == grid.p.n == default_points(rho, hw) > 201
 
 
 def test_wigner_samples_transform_to_the_dense_char():
