@@ -1,13 +1,14 @@
-"""Dense Fock-space representation of bosonic states and operators.
+"""Fock-space representation of bosonic states and operators.
 
-Everything here works on explicit numpy arrays over a truncated number basis.
+Everything here works on explicit numpy arrays over a truncated number basis:
+dense dim x dim matrices, or the dim x r factor of a low-rank state.
 Multi-mode objects use the C-order (row-major) tensor convention, so the kron
 of per-mode operators acts on the flat index returned by ``ModeCutoffs.index_of``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -63,6 +64,9 @@ def suggest_cutoff(mean_n: float) -> int:
 
 _TILE = 256
 
+# largest dimension whose dense matrix a factored state builds on request
+MAX_DENSE_DIM = 4096
+
 
 def _hermitian_part(rho: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Return max|rho_ij|, max|rho - rho^H| and a new array (rho + rho^H) / 2.
@@ -94,17 +98,24 @@ def _hermitian_part(rho: np.ndarray) -> tuple[float, float, np.ndarray]:
     return float(scale), float(dev), out
 
 
-@dataclass
 class DensityMatrix:
-    """Mixed state as a dense Hermitian matrix, trace-normalized on construction."""
+    """Mixed state over a truncated Fock basis, trace-normalized on construction.
 
-    cutoffs: ModeCutoffs
-    data: np.ndarray
-    tol: Tolerances = field(default=DEFAULT, repr=False, compare=False)
+    A state has one of two forms.  ``DensityMatrix(cutoffs, data)`` takes a
+    dense dim x dim matrix, checks that it is Hermitian and keeps its exactly
+    Hermitian part.  ``DensityMatrix.factored(cutoffs, V, C)`` keeps
+    rho = V C V^H, with V of shape (dim, r) and C an r x r Hermitian positive
+    matrix, as ``factors``; ``mean_number``, ``purity`` and the operator route
+    work on the factors in O(dim r^2).  The dense ``data`` of a factored state
+    is built on first read and cached, and raises ValueError above
+    ``MAX_DENSE_DIM``.
+    """
 
-    def __post_init__(self):
-        self.cutoffs = as_cutoffs(self.cutoffs)
-        rho = np.asarray(self.data, dtype=complex)
+    def __init__(self, cutoffs, data, tol: Tolerances = DEFAULT):
+        self.cutoffs = as_cutoffs(cutoffs)
+        self.tol = tol
+        self.factors = None
+        rho = np.asarray(data, dtype=complex)
         d = self.cutoffs.dim
         if rho.shape != (d, d):
             raise ValueError(f"density matrix has shape {rho.shape}, expected {(d, d)}")
@@ -117,16 +128,61 @@ class DensityMatrix:
         if tr <= 0.0:
             raise ValueError(f"trace {tr!r} is not positive")
         rho /= tr
-        self.data = rho
+        self._data = rho
+
+    @classmethod
+    def factored(cls, cutoffs, V, C, tol: Tolerances = DEFAULT) -> DensityMatrix:
+        """The state V C V^H / Tr(C V^H V), without a dim x dim array.
+
+        C must be Hermitian and positive semidefinite; only its Hermitian part
+        is kept, and nothing else is checked.  The operator route reports no
+        truncation error for this form, which suits states whose modes are
+        exactly the declared Fock dimensions, such as product-rank states.
+        """
+        self = cls.__new__(cls)
+        self.cutoffs = as_cutoffs(cutoffs)
+        self.tol = tol
+        V = np.asarray(V, dtype=complex)
+        C = np.asarray(C, dtype=complex)
+        r = C.shape[0]
+        if C.shape != (r, r) or V.shape != (self.cutoffs.dim, r):
+            raise ValueError(f"factors of shapes {V.shape} and {C.shape} do not "
+                             f"form a state of dimension {self.cutoffs.dim}")
+        C = 0.5 * (C + C.conj().T)
+        tr = _trace_product(C, V.conj().T @ V)
+        if not tr > 0.0:
+            raise ValueError(f"trace {tr!r} is not positive")
+        self.factors = (V, C / tr)
+        self._data = None
+        return self
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense matrix; for a factored state, built on first read."""
+        if self._data is None:
+            if self.dim > MAX_DENSE_DIM:
+                raise ValueError(f"dense dimension {self.dim} exceeds the "
+                                 f"{MAX_DENSE_DIM} limit")
+            V, C = self.factors
+            self._data = _mirrored_product(V @ C, V)
+        return self._data
 
     @property
     def dim(self) -> int:
         return self.cutoffs.dim
 
     def mean_number(self) -> float:
-        return float(np.real(self.data.diagonal() @ number_diagonal(self.cutoffs)))
+        n = number_diagonal(self.cutoffs)
+        if self.factors is None:
+            return float(np.real(self.data.diagonal() @ n))
+        V, C = self.factors
+        return _trace_product(C, V.conj().T @ (n[:, None] * V))
 
     def purity(self) -> float:
+        if self.factors is not None:
+            V, C = self.factors
+            gram = V.conj().T @ V
+            return _trace_product(C @ gram, C @ gram)
         # Tr(rho^2) = sum_ij |rho_ij|^2 because data is Hermitian; the float
         # view gives that sum without a transpose or a temporary
         flat = np.ascontiguousarray(self.data).view(np.float64)
@@ -134,6 +190,34 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.data)[0])
+
+
+def _trace_product(x: np.ndarray, y: np.ndarray) -> float:
+    """Re Tr(x y), without forming the product."""
+    return float(np.real(np.einsum("ij,ji->", x, y)))
+
+
+def _mirrored_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w v^H for factors whose product is Hermitian, made exactly Hermitian.
+
+    Works over square tiles of _TILE rows: each tile above the diagonal is
+    computed once and its conjugate transpose written to its partner below,
+    so half of the product is never computed.  A diagonal tile is replaced by
+    its Hermitian part, whose entries pair up exactly in floating point.
+    """
+    n = v.shape[0]
+    vh = np.ascontiguousarray(v.conj().T)
+    out = np.empty((n, n), dtype=complex)
+    for i0 in range(0, n, _TILE):
+        rows = slice(i0, i0 + _TILE)
+        tile = w[rows] @ vh[:, rows]
+        out[rows, rows] = 0.5 * (tile + tile.conj().T)
+        for j0 in range(i0 + _TILE, n, _TILE):
+            cols = slice(j0, j0 + _TILE)
+            tile = w[rows] @ vh[:, cols]
+            out[rows, cols] = tile
+            out[cols, rows] = tile.conj().T
+    return out
 
 
 def annihilation_op(cutoffs, mode: int = 0) -> np.ndarray:
@@ -226,6 +310,26 @@ def exchange_trace(rho: np.ndarray, cutoffs, mode: int) -> float:
     upper = flat[:, right:, 2 * right:]
     lower = flat[:, :-right, :-2 * right]
     return float(np.einsum("lry,lry,y->r", upper, lower, col_w) @ row_w)
+
+
+def factored_exchange_trace(V: np.ndarray, C: np.ndarray, cutoffs, mode: int) -> float:
+    """Tr(a_m rho a_m^dag rho) for rho = V C V^H, as Tr(A C A^H C) with A = V^H a_m V.
+
+    a_m V is the index shift on the (L, d, R, r) view of V: level k takes
+    sqrt(k+1) times level k+1, and the top level is left empty.  So A costs
+    O(dim r^2) and the trace is r x r algebra.
+    """
+    dims = as_cutoffs(cutoffs).cutoffs
+    d = dims[mode]
+    if d == 1:
+        return 0.0
+    r = V.shape[1]
+    view = V.reshape(int(np.prod(dims[:mode])), d, -1, r)
+    w = np.sqrt(np.arange(1.0, d))[:, None, None]
+    lower = view[:, :-1].reshape(-1, r)
+    shifted = (view[:, 1:] * w).reshape(-1, r)
+    A = lower.conj().T @ shifted
+    return _trace_product(A @ C, A.conj().T @ C)
 
 
 def _displaced_columns(r: np.ndarray, k: np.ndarray, nmax: np.ndarray):

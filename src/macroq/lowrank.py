@@ -4,7 +4,9 @@ A state rho = sum_ij c_ij |Psi_i><Psi_j| with product terms
 |Psi_i> = tensor_m |u_i^m> never needs the tensor-product space: every trace
 entering I reduces to r x r Gram algebra, so the cost is O(r^2 M) regardless
 of mode count.  This is what makes thousand-mode entangled superpositions
-tractable.
+tractable.  The kets of all modes sit in one zero-padded (M, r, d_max)
+array, so the per-mode Gram matrices and traces are computed batched over the
+modes; the padding adds nothing to any overlap, occupation or shift.
 """
 
 from __future__ import annotations
@@ -15,22 +17,45 @@ from .fock import DensityMatrix, ModeCutoffs
 from .measure import MeasureResult
 
 
+def _stack_factors(factors) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The kets ``factors[i][m]`` as an (M, r, d_max) array, zero padded past
+    each mode's dimension, and those dimensions."""
+    modes = len(factors[0])
+    if modes == 0:
+        raise ValueError("terms must have at least one mode")
+    if any(len(term) != modes for term in factors):
+        raise ValueError("terms have different numbers of modes")
+    sizes = np.array([[len(u) for u in term] for term in factors])
+    clash = np.nonzero((sizes != sizes[0]).any(axis=0))[0]
+    if clash.size:
+        m = int(clash[0])
+        raise ValueError(f"mode {m} has inconsistent factor dimensions "
+                         f"{sorted(set(sizes[:, m].tolist()))}")
+    dims = tuple(int(d) for d in sizes[0])
+    if len(set(dims)) == 1:
+        stacked = np.asarray(factors, dtype=complex)
+    else:
+        stacked = np.zeros((len(factors), modes, max(dims)), dtype=complex)
+        for i, term in enumerate(factors):
+            for m, u in enumerate(term):
+                stacked[i, m, :dims[m]] = u
+    return np.ascontiguousarray(stacked.transpose(1, 0, 2)), dims
+
+
 class ProductRankState:
     """Rank-r mixture/superposition of M-mode product vectors.
 
     ``factors[i][m]`` is the (unnormalized) single-mode ket of term i in mode m;
     ``coeff`` is the r x r Hermitian positive matrix of term weights.  Factor
     norms are folded into ``coeff`` and the whole object is scaled to unit trace
-    on construction.
+    on construction.  The normalized kets are kept as ``kets[m, i]``, an
+    (M, r, d_max) array zero padded past each mode's dimension ``dims[m]``.
     """
 
     def __init__(self, factors, coeff):
         if not factors:
             raise ValueError("need at least one product term")
         self.rank = len(factors)
-        self.modes = len(factors[0])
-        if self.modes == 0:
-            raise ValueError("terms must have at least one mode")
         coeff = np.asarray(coeff, dtype=complex)
         if coeff.shape != (self.rank, self.rank):
             raise ValueError(f"coeff shape {coeff.shape} does not match rank {self.rank}")
@@ -42,24 +67,14 @@ class ProductRankState:
         if low < -1e-9 * max(float(np.abs(coeff).max()), 1e-300):
             raise ValueError(f"coefficient matrix has negative weight {low:.3e}")
 
-        self.dims = []
-        for m in range(self.modes):
-            sizes = {len(term[m]) for term in factors}
-            if len(sizes) != 1:
-                raise ValueError(f"mode {m} has inconsistent factor dimensions {sizes}")
-            self.dims.append(sizes.pop())
-
-        # one (rank, d_m) array per mode, rows normalized with the norms
-        # pushed into the coefficient matrix
-        self.mode_arrays = []
-        scales = np.ones(self.rank)
-        for m in range(self.modes):
-            um = np.array([np.asarray(term[m], dtype=complex) for term in factors])
-            norms = np.linalg.norm(um, axis=1)
-            if np.any(norms == 0.0):
-                raise ValueError("zero factor vector")
-            self.mode_arrays.append(um / norms[:, None])
-            scales = scales * norms
+        stacked, self.dims = _stack_factors(factors)
+        self.modes = len(self.dims)
+        # rows normalized, with the norms pushed into the coefficient matrix
+        norms = np.linalg.norm(stacked, axis=2)
+        if np.any(norms == 0.0):
+            raise ValueError("zero factor vector")
+        self.kets = stacked / norms[:, :, None]
+        scales = np.prod(norms, axis=0)
         coeff = coeff * np.outer(scales, scales)
 
         tr = float(np.real(np.einsum("ij,ji->", coeff, self.gram())))
@@ -80,65 +95,55 @@ class ProductRankState:
 
     # -- Gram machinery -----------------------------------------------------
 
-    def _factor_grams(self):
-        return [um.conj() @ um.T for um in self.mode_arrays]
+    def _factor_grams(self) -> np.ndarray:
+        """Per-mode overlaps, F[m, i, j] = <u_i^m | u_j^m>, shape (M, r, r)."""
+        return self.kets.conj() @ self.kets.transpose(0, 2, 1)
 
     def gram(self) -> np.ndarray:
         """Overlap matrix G[i, j] = <Psi_i | Psi_j>."""
-        g = np.ones((self.rank, self.rank), dtype=complex)
-        for f in self._factor_grams():
-            g = g * f
-        return g
+        return np.prod(self._factor_grams(), axis=0)
 
-    def to_dense(self, max_dim: int = 4096) -> DensityMatrix:
-        """Materialize in the full tensor space; refuses above ``max_dim``."""
-        total = int(np.prod(self.dims))
-        if total > max_dim:
-            raise ValueError(f"dense dimension {total} exceeds the {max_dim} limit")
-        vecs = np.zeros((self.rank, total), dtype=complex)
-        for i in range(self.rank):
-            v = self.mode_arrays[0][i]
-            for m in range(1, self.modes):
-                v = np.kron(v, self.mode_arrays[m][i])
-            vecs[i] = v
-        rho = vecs.T @ self.coeff @ vecs.conj()
-        return DensityMatrix(ModeCutoffs(tuple(self.dims)), rho)
+    def to_dense(self) -> DensityMatrix:
+        """The Fock-space state in factored form, V coeff V^H.
+
+        Column i of V is the kron of term i's kets, so building it costs
+        O(dim r); the dim x dim matrix is only made when its ``data`` is read,
+        which refuses above ``fock.MAX_DENSE_DIM``.
+        """
+        V = np.ones((1, self.rank), dtype=complex)
+        for u, d in zip(self.kets, self.dims):
+            V = (V[:, None, :] * u[:, :d].T).reshape(-1, self.rank)
+        return DensityMatrix.factored(ModeCutoffs(self.dims), V, self.coeff)
 
 
 def measure_lowrank(state: ProductRankState) -> MeasureResult:
-    """Evaluate I, the occupation and the purity entirely in Gram space."""
+    """Evaluate I, the occupation and the purity entirely in Gram space.
+
+    With F_m the per-mode overlaps and E_m the elementwise product of all the
+    other modes' overlaps (from prefix and suffix products), the mode-m terms
+    are Tr(rho^2 n_m) = Tr(c G c (E_m * N_m)) and Tr(a_m rho a_m^dag rho) =
+    Tr(c (E_m * A_m) c (E_m * A_m)^H), where N_m and A_m are the r x r matrix
+    elements of n and a between the mode-m kets.  Every step runs batched
+    over the modes, O(M r^2 d_max) in all.  The result is exact on the
+    state's declared space, so err_estimate is zero.
+    """
     c = state.coeff
+    u = state.kets
     grams = state._factor_grams()
-    r = state.rank
-    M = state.modes
-
-    pre = [np.ones((r, r), dtype=complex)]
-    for f in grams[:-1]:
-        pre.append(pre[-1] * f)
-    suf = [np.ones((r, r), dtype=complex)]
-    for f in grams[:0:-1]:
-        suf.append(suf[-1] * f)
-    suf = suf[::-1]
-
+    ones = np.ones((1, state.rank, state.rank), dtype=complex)
+    pre = np.concatenate([ones, np.cumprod(grams[:-1], axis=0)])
+    suf = np.concatenate([np.cumprod(grams[:0:-1], axis=0)[::-1], ones])
     gram = pre[-1] * grams[-1]
-    value = 0.0
-    mean = 0.0
-    for m in range(M):
-        um = state.mode_arrays[m]
-        d = state.dims[m]
-        n_w = np.arange(d, dtype=float)
-        au = np.zeros_like(um)
-        if d > 1:
-            au[:, :-1] = um[:, 1:] * np.sqrt(n_w[1:])
-        a_m = um.conj() @ au.T
-        n_m = um.conj() @ (um * n_w).T
-        excl = pre[m] * suf[m]
-        gn = excl * n_m
-        ga = excl * a_m
-        value += float(np.real(np.trace(c @ gram @ c @ gn)))
-        value -= float(np.real(np.trace(c @ ga @ c @ ga.conj().T)))
-        mean += float(np.real(np.trace(c @ gn)))
+    excl = pre * suf
 
-    purity = float(np.real(np.trace(c @ gram @ c @ gram)))
+    levels = np.arange(u.shape[2], dtype=float)
+    n_m = u.conj() @ (u * levels).transpose(0, 2, 1)
+    a_m = u[:, :, :-1].conj() @ (u[:, :, 1:] * np.sqrt(levels[1:])).transpose(0, 2, 1)
+    gn = (excl * n_m).sum(axis=0)
+    ga = excl * a_m
+    exchange = np.einsum("mik,mki->", c @ ga, c @ ga.conj().transpose(0, 2, 1))
+    value = float(np.real(np.einsum("ij,jk,kl,li->", c, gram, c, gn) - exchange))
+    mean = float(np.real(np.einsum("ij,ji->", c, gn)))
+    purity = float(np.real(np.einsum("ij,jk,kl,li->", c, gram, c, gram)))
     return MeasureResult(value=value, route="low-rank", mean_n=mean,
                          purity=purity, err_estimate=0.0)

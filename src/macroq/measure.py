@@ -25,7 +25,7 @@ import scipy.integrate  # noqa: F401
 
 from . import phasespace
 from .config import DEFAULT, Tolerances
-from .fock import DensityMatrix, exchange_trace, number_diagonal
+from .fock import DensityMatrix, exchange_trace, factored_exchange_trace, number_diagonal
 
 class ConvergenceError(RuntimeError):
     """Quadrature failed to meet tolerance; .partial holds the best estimate."""
@@ -58,18 +58,33 @@ class MeasureResult:
 # operator route
 
 def measure_operator(state: DensityMatrix) -> MeasureResult:
-    """Evaluate I from the dense matrix by index shifts, O(modes * dim^2).
+    """Evaluate I from the state's Fock-space form, by the route its form selects.
 
-    Relies on the exactly Hermitian ``data`` that ``DensityMatrix`` guarantees
-    on construction: Tr(rho^2 n_m) is read as sum_j n_m(j) sum_i |rho_ij|^2
-    and the exchange term from shifted views of rho (``exchange_trace``), so
-    rho is never transposed or copied.
+    A factored state rho = V C V^H takes the Gram identities, O(modes dim r^2):
+    with G = V^H V, sum_m Tr(rho^2 n_m) = Tr(C G C V^H n V) for the total
+    number operator n, and Tr(a_m rho a_m^dag rho) = Tr(A C A^H C) with
+    A = V^H a_m V (``factored_exchange_trace``).  Its err_estimate is zero and
+    it carries no truncation warning, since a and n map the declared space
+    into itself and the form stands for exactly that space.
 
-    The err_estimate is a truncation heuristic driven by the population of the
+    A dense state takes index shifts, O(modes dim^2), relying on the exactly
+    Hermitian ``data`` that ``DensityMatrix`` guarantees: Tr(rho^2 n_m) is
+    read as sum_j n_m(j) sum_i |rho_ij|^2 and the exchange term from shifted
+    views of rho (``exchange_trace``), so rho is never transposed or copied.
+    Its err_estimate is a truncation heuristic driven by the population of the
     top Fock level; it is zero for states that genuinely fit the cutoff.
     """
-    rho = np.ascontiguousarray(state.data)
     cut = state.cutoffs
+    if state.factors is not None:
+        V, C = state.factors
+        gram = V.conj().T @ V
+        number = V.conj().T @ (number_diagonal(cut)[:, None] * V)
+        value = float(np.real(np.einsum("ij,jk,kl,li->", C, gram, C, number)))
+        value -= sum(factored_exchange_trace(V, C, cut, m) for m in range(cut.modes))
+        return MeasureResult(value=value, route="operator", mean_n=state.mean_number(),
+                             purity=state.purity(), err_estimate=0.0)
+
+    rho = np.ascontiguousarray(state.data)
     flat = rho.view(np.float64)
     # (rho^2)_jj = sum_i |rho_ij|^2, the squared norm of row j for Hermitian rho
     second = np.einsum("ij,ij->i", flat, flat)
@@ -333,11 +348,12 @@ def measure(state, route: str | None = None) -> MeasureResult:
     ``DensityMatrix`` takes ``operator`` and any other object, taken to be a
     characteristic function (``GaussianChar``, ``ThermalSCSChar``,
     ``DenseChar``), takes ``char-quadrature``.  A ``ProductRankState`` goes
-    through ``to_dense()`` for the other routes.  ``char-quadrature`` wraps a
-    ``DensityMatrix`` with ``char_of`` and probes for its radial cut, since the
-    dispatcher cannot know the state's phase-space extent; callers that need
-    their own cut or grid call the route functions directly.  A state that
-    lacks the form a route needs, and an unknown route, raise ValueError.
+    through ``to_dense()``, its factored Fock-space form, for the other
+    routes.  ``char-quadrature`` wraps a ``DensityMatrix`` with ``char_of``
+    and probes for its radial cut, since the dispatcher cannot know the
+    state's phase-space extent; callers that need their own cut or grid call
+    the route functions directly.  A state that lacks the form a route needs,
+    and an unknown route, raise ValueError.
     """
     from .lowrank import ProductRankState, measure_lowrank  # lowrank imports this module
 

@@ -365,15 +365,20 @@ def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
 def _char_from_arrays(xs, ps, W):
     """Dense transform of Wigner samples to the dual chi grid.
 
-    Returns (xi_r, xi_i, chi) with chi indexed [xi_r, xi_i].
+    Returns (xi_r, xi_i, chi) with chi indexed [xi_r, xi_i].  chi^T is
+    E_x^T W E_p with E_x = e^{2i x xi_i} and E_p = e^{-2i p xi_r}; W is
+    real, so the products run as real GEMMs on the cos and sin parts.
     """
     dx = xs[1] - xs[0]
     dp = ps[1] - ps[0]
     xi_r = np.linspace(-np.pi / (2 * dp), np.pi / (2 * dp), ps.size)
     xi_i = np.linspace(-np.pi / (2 * dx), np.pi / (2 * dx), xs.size)
-    Ex = np.exp(2j * np.outer(xs, xi_i))
-    Ep = np.exp(-2j * np.outer(ps, xi_r))
-    chi = (Ex.T @ W @ Ep).T * (dx * dp)
+    phase_x = 2.0 * np.outer(xi_i, xs)
+    phase_p = 2.0 * np.outer(ps, xi_r)
+    W = np.asarray(W, dtype=float)
+    cw, sw = np.cos(phase_x) @ W, np.sin(phase_x) @ W
+    cp, sp = np.cos(phase_p), np.sin(phase_p)
+    chi = ((cw @ cp + sw @ sp) + 1j * (sw @ cp - cw @ sp)).T * (dx * dp)
     return xi_r, xi_i, chi
 
 

@@ -74,6 +74,19 @@ def test_measure_default_routes(capsys):
     assert json.loads(out)["value"] == 4.0
 
 
+def test_measure_ghz_operator_route_is_exact(capsys):
+    # a product-rank state fills its qubit modes exactly; the top-level
+    # heuristic used to report err_estimate 13.0 on this exact answer
+    rc, out, err = run(capsys, "measure", "--state", "ghz", "--n-modes", "12",
+                       "--route", "operator")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["route"] == "operator"
+    assert payload["value"] == 6.0
+    assert payload["err_estimate"] == 0.0
+    assert "warnings" not in payload
+
+
 def test_measure_dur_routes_agree(capsys):
     _, out_lr, _ = run(capsys, "measure", "--state", "dur", "--n-modes", "40",
                        "--epsilon", "0.2")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from macroq import catalog
+from macroq.fock import DensityMatrix, ModeCutoffs
 from macroq.lowrank import ProductRankState, measure_lowrank
-from macroq.measure import measure_operator
+from macroq.measure import measure, measure_operator
 
 
 def two_mode_branch(a0, a1, b0, b1):
@@ -115,9 +116,11 @@ def test_random_rank_three_product_state_matches_dense():
 
 
 def test_to_dense_guards_dimension():
-    state = catalog.make_ghz(20)
-    with pytest.raises(ValueError):
-        state.to_dense(max_dim=4096)
+    # the factored form is built at any dimension; only the dense matrix refuses
+    dense = catalog.make_ghz(20).to_dense()
+    assert dense.dim == 2 ** 20
+    with pytest.raises(ValueError, match="exceeds the 4096 limit"):
+        dense.data
 
 
 def test_gram_diagonal_is_branch_norm():
@@ -125,3 +128,60 @@ def test_gram_diagonal_is_branch_norm():
     g = state.gram()
     np.testing.assert_allclose(np.diag(g).real, 1.0, atol=1e-12)
     assert g.shape == (2, 2)
+
+
+def _random_factored(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    cut = ModeCutoffs(dims)
+    V = rng.normal(size=(cut.dim, rank)) + 1j * rng.normal(size=(cut.dim, rank))
+    g = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+    return DensityMatrix.factored(cut, V, g @ g.conj().T)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("dims", [(3, 1, 4), (2, 2, 2, 2)])
+def test_factored_operator_route_matches_dense(dims, rank):
+    factored = _random_factored(dims, rank, seed=rank + len(dims))
+    low = measure_operator(factored)
+    assert factored._data is None  # the Gram route never builds the matrix
+    dense = measure_operator(DensityMatrix(factored.cutoffs, factored.data))
+    assert low.value == pytest.approx(dense.value, abs=1e-12)
+    assert low.mean_n == pytest.approx(dense.mean_n, abs=1e-12)
+    assert low.purity == pytest.approx(dense.purity, abs=1e-12)
+    assert low.err_estimate == 0.0 and low.warnings == ()
+
+
+@pytest.mark.parametrize("dims", [(3, 1, 4), (3, 3, 3, 3, 3, 3), (5, 2, 61)])
+def test_factored_data_is_exactly_hermitian(dims):
+    # (3,)*6 and (5, 2, 61) span several tiles, the latter with a ragged edge
+    state = _random_factored(dims, 3, seed=len(dims))
+    rho = state.data
+    assert np.array_equal(rho, rho.conj().T)
+    V, C = state.factors
+    np.testing.assert_allclose(rho, V @ C @ V.conj().T, rtol=0, atol=1e-15)
+    assert rho.trace().real == pytest.approx(1.0, abs=1e-14)
+    assert state.data is rho  # built once, then cached
+
+
+def test_lowrank_pads_unequal_mode_dimensions():
+    rng = np.random.default_rng(7)
+    dims, rank = (3, 1, 5, 2), 3
+    terms = [[rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+             for _ in range(rank)]
+    g = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+    state = ProductRankState(terms, g @ g.conj().T)
+    assert state.dims == dims and state.kets.shape == (4, rank, 5)
+    low = measure_lowrank(state)
+    dense = measure_operator(DensityMatrix(state.dims, state.to_dense().data))
+    assert low.value == pytest.approx(dense.value, abs=1e-12)
+    assert low.mean_n == pytest.approx(dense.mean_n, abs=1e-12)
+    assert low.purity == pytest.approx(dense.purity, abs=1e-12)
+
+
+def test_operator_route_past_the_dense_limit():
+    # dim 65536: the factored operator route never reads the dense matrix
+    assert measure(catalog.make_ghz(16), "operator").value == pytest.approx(8.0, abs=1e-12)
+    dense = catalog.make_dur(16, 0.3).to_dense()
+    res = measure_operator(dense)
+    assert res.value == pytest.approx(catalog.dur_exact(16, 0.3), abs=1e-10)
+    assert dense._data is None
