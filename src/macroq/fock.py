@@ -66,6 +66,8 @@ _TILE = 256
 
 # largest dimension whose dense matrix a factored state builds on request
 MAX_DENSE_DIM = 4096
+# most entries (dim x rank) a product-rank state's factor V may hold
+MAX_FACTOR_ENTRIES = 2 ** 22
 
 
 def _hermitian_part(rho: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -131,17 +133,19 @@ class DensityMatrix:
         self._data = rho
 
     @classmethod
-    def factored(cls, cutoffs, V, C, tol: Tolerances = DEFAULT) -> DensityMatrix:
+    def factored(cls, cutoffs, V, C) -> DensityMatrix:
         """The state V C V^H / Tr(C V^H V), without a dim x dim array.
 
         C must be Hermitian and positive semidefinite; only its Hermitian part
-        is kept, and nothing else is checked.  The operator route reports no
-        truncation error for this form, which suits states whose modes are
-        exactly the declared Fock dimensions, such as product-rank states.
+        is kept, and nothing else is checked.  Only a state whose modes
+        exactly fill the declared Fock space may take this form, such as a
+        product-rank state: the operator route reports every factored state
+        as exact (err_estimate 0, no truncation warning), so a truncated
+        state built this way would get no error bar.
         """
         self = cls.__new__(cls)
         self.cutoffs = as_cutoffs(cutoffs)
-        self.tol = tol
+        self.tol = DEFAULT
         V = np.asarray(V, dtype=complex)
         C = np.asarray(C, dtype=complex)
         r = C.shape[0]

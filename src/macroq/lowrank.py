@@ -11,9 +11,11 @@ modes; the padding adds nothing to any overlap, occupation or shift.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .fock import DensityMatrix, ModeCutoffs
+from .fock import MAX_FACTOR_ENTRIES, DensityMatrix, ModeCutoffs
 from .measure import MeasureResult
 
 
@@ -31,15 +33,13 @@ def _stack_factors(factors) -> tuple[np.ndarray, tuple[int, ...]]:
         m = int(clash[0])
         raise ValueError(f"mode {m} has inconsistent factor dimensions "
                          f"{sorted(set(sizes[:, m].tolist()))}")
-    dims = tuple(int(d) for d in sizes[0])
-    if len(set(dims)) == 1:
-        stacked = np.asarray(factors, dtype=complex)
-    else:
-        stacked = np.zeros((len(factors), modes, max(dims)), dtype=complex)
-        for i, term in enumerate(factors):
-            for m, u in enumerate(term):
-                stacked[i, m, :dims[m]] = u
-    return np.ascontiguousarray(stacked.transpose(1, 0, 2)), dims
+    dims = sizes[0]
+    stacked = np.zeros((modes, len(factors), int(dims.max())), dtype=complex)
+    # C order of the masked entries is (mode, term, level): one scatter fills all
+    held = np.arange(stacked.shape[2]) < dims[:, None, None]
+    stacked[np.broadcast_to(held, stacked.shape)] = np.concatenate(
+        [term[m] for m in range(modes) for term in factors])
+    return stacked, tuple(int(d) for d in dims)
 
 
 class ProductRankState:
@@ -108,8 +108,13 @@ class ProductRankState:
 
         Column i of V is the kron of term i's kets, so building it costs
         O(dim r); the dim x dim matrix is only made when its ``data`` is read,
-        which refuses above ``fock.MAX_DENSE_DIM``.
+        which refuses above ``fock.MAX_DENSE_DIM``.  V itself is refused above
+        ``fock.MAX_FACTOR_ENTRIES`` entries, before any of it is built.
         """
+        entries = math.prod(self.dims) * self.rank
+        if entries > MAX_FACTOR_ENTRIES:
+            raise ValueError(f"factor of {entries} entries exceeds the "
+                             f"{MAX_FACTOR_ENTRIES} limit")
         V = np.ones((1, self.rank), dtype=complex)
         for u, d in zip(self.kets, self.dims):
             V = (V[:, None, :] * u[:, :d].T).reshape(-1, self.rank)

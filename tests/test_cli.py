@@ -87,6 +87,16 @@ def test_measure_ghz_operator_route_is_exact(capsys):
     assert "warnings" not in payload
 
 
+def test_measure_ghz_operator_route_refuses_an_oversized_factor(capsys):
+    # 2^30 x 2 entries would be 32 GiB: refused at once, not left to the allocator
+    rc, out, err = run(capsys, "measure", "--state", "ghz", "--n-modes", "30",
+                       "--route", "operator")
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert "exceeds the 4194304 limit" in payload["message"]
+
+
 def test_measure_dur_routes_agree(capsys):
     _, out_lr, _ = run(capsys, "measure", "--state", "dur", "--n-modes", "40",
                        "--epsilon", "0.2")

@@ -66,11 +66,14 @@ def test_unnormalized_factors_are_folded_in():
 def test_ghz_measure_matches_dense(n_modes):
     state = catalog.make_ghz(n_modes)
     low = measure_lowrank(state)
-    dense = measure_operator(state.to_dense())
+    factored = state.to_dense()
     assert low.route == "low-rank"
-    assert low.value == pytest.approx(dense.value, abs=1e-12)
-    assert low.mean_n == pytest.approx(dense.mean_n, abs=1e-12)
-    assert low.purity == pytest.approx(dense.purity, abs=1e-12)
+    # the factored Gram route and the dense index-shift route
+    for dense in (measure_operator(factored),
+                  measure_operator(DensityMatrix(factored.cutoffs, factored.data))):
+        assert low.value == pytest.approx(dense.value, abs=1e-12)
+        assert low.mean_n == pytest.approx(dense.mean_n, abs=1e-12)
+        assert low.purity == pytest.approx(dense.purity, abs=1e-12)
 
 
 def test_ghz_value_is_half_party_count():
@@ -92,8 +95,11 @@ def test_noon_measure_matches_dense(n):
 def test_dur_measure_matches_dense(n_modes):
     state = catalog.make_dur(n_modes, 0.1)
     low = measure_lowrank(state)
-    dense = measure_operator(state.to_dense())
-    assert low.value == pytest.approx(dense.value, abs=1e-10)
+    factored = state.to_dense()
+    assert low.value == pytest.approx(measure_operator(factored).value, abs=1e-10)
+    if n_modes <= 5:
+        dense = measure_operator(DensityMatrix(factored.cutoffs, factored.data))
+        assert low.value == pytest.approx(dense.value, abs=1e-10)
 
 
 def test_dur_single_party_is_pure_coherent_free():
@@ -121,6 +127,14 @@ def test_to_dense_guards_dimension():
     assert dense.dim == 2 ** 20
     with pytest.raises(ValueError, match="exceeds the 4096 limit"):
         dense.data
+
+
+def test_to_dense_refuses_an_oversized_factor():
+    # dim 2^40 x rank 2: refused before any of V is allocated
+    with pytest.raises(ValueError, match="exceeds the 4194304 limit"):
+        catalog.make_ghz(40).to_dense()
+    with pytest.raises(ValueError, match="exceeds the 4194304 limit"):
+        measure(catalog.make_ghz(30), "operator")
 
 
 def test_gram_diagonal_is_branch_norm():
