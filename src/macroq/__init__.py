@@ -6,7 +6,6 @@ field averages, never exceeds it, and sets the instantaneous purity decay
 under amplitude damping through dP/dtau = -2 I.
 """
 
-from .config import DEFAULT, Tolerances
 from .fock import (DensityMatrix, ModeCutoffs, TruncationLeakError,
                    annihilation_op, apply_displacement, apply_rotation,
                    displacement_matrix, number_op, suggest_cutoff)

@@ -6,7 +6,7 @@ return full :class:`measure.MeasureResult` records so they slot into the same
 comparisons as the numeric routes.
 
 Constructors check the requested cutoff against the analytic norm of the
-state: a tail above ``Tolerances.displacement_leak`` draws a warning, and a
+state: a tail above ``fock.LEAK_TOL`` (1e-6) draws a warning, and a
 tail above 1e-2 (a state that plainly does not fit) raises.  The warning
 rather than an error matters: deliberately truncated states are legitimate
 objects of study here.
@@ -20,19 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, i0e
 
-from .config import DEFAULT
-from .fock import DensityMatrix, ModeCutoffs, TruncationLeakError, suggest_cutoff
+from .fock import (LEAK_TOL, DensityMatrix, ModeCutoffs, TruncationLeakError,
+                   suggest_cutoff)
 from .lowrank import ProductRankState
 from .measure import MeasureResult
 
 _HARD_LEAK = 1e-2
+_SCS_GRID_POINTS = 81  # branch centres per axis of make_thermal_scs's grid
+_SCS_SPAN = 5.0        # its half width, in units of sqrt((V - 1) / 2)
 
 
 def _leak_gate(leak: float, context: str) -> None:
     if leak > _HARD_LEAK:
         raise TruncationLeakError(
             f"{context}: cutoff misses {leak:.3e} of the norm; increase it")
-    if leak > DEFAULT.displacement_leak:
+    if leak > LEAK_TOL:
         warnings.warn(f"{context}: cutoff misses {leak:.3e} of the norm",
                       RuntimeWarning, stacklevel=3)
 
@@ -168,8 +170,7 @@ def make_maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(ModeCutoffs((dim,)), np.eye(dim, dtype=complex) / dim)
 
 
-def make_thermal_scs(V: float, d: float, cutoff: int | None = None,
-                     grid_points: int = 81, span: float = 5.0) -> DensityMatrix:
+def make_thermal_scs(V: float, d: float, cutoff: int | None = None) -> DensityMatrix:
     """Gaussian ensemble of superposition states: dense reference construction.
 
     Branch centers beta are drawn from a width-(V-1) Gaussian around d, each
@@ -182,14 +183,14 @@ def make_thermal_scs(V: float, d: float, cutoff: int | None = None,
     if V < 1.0:
         raise ValueError("V must be at least 1")
     lam = V - 1.0
-    half = span * np.sqrt(lam / 2.0)
+    half = _SCS_SPAN * np.sqrt(lam / 2.0)
     if cutoff is None:
         # cover the farthest ensemble member, not just the mean occupation
         cutoff = suggest_cutoff((abs(d) + half) ** 2 + half ** 2)
     if V == 1.0:
         return make_scs(d, cutoff)
-    xs = np.linspace(d - half, d + half, grid_points)
-    ys = np.linspace(-half, half, grid_points)
+    xs = np.linspace(d - half, d + half, _SCS_GRID_POINTS)
+    ys = np.linspace(-half, half, _SCS_GRID_POINTS)
     betas = (xs[:, None] + 1j * ys[None, :]).ravel()
     w = np.exp(-2.0 * np.abs(betas - d) ** 2 / lam)
     n = np.arange(cutoff)

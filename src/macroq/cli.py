@@ -171,6 +171,17 @@ def _csv_line(*cells) -> str:
     return ",".join(out)
 
 
+def _write_lines(lines, path) -> int:
+    """Write ``lines`` as text to the file at ``path``, or to stdout without one."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def cmd_sweep(parser, args) -> int:
     lines = ["param,axis_value,I,mean_n,purity"]
     n = args.samples
@@ -198,13 +209,7 @@ def cmd_sweep(parser, args) -> int:
             lines.append(_csv_line("d=0", float(v), res.value, res.mean_n, res.purity))
     else:
         parser.error(f"unknown preset {args.preset!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_lines(lines, args.output)
 
 
 def cmd_emit_wigner(parser, args) -> int:
@@ -255,13 +260,7 @@ def cmd_evolve(parser, args) -> int:
     lines = ["tau,I,purity,mean_n"]
     for pt in traj:
         lines.append(_csv_line(pt.tau, pt.value, pt.purity, pt.mean_n))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_lines(lines, args.output)
 
 
 def cmd_check(parser, args) -> int:

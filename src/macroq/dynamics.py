@@ -19,6 +19,9 @@ import numpy as np
 from .fock import DensityMatrix, ModeCutoffs, a_rho_adag, number_diagonal
 from .measure import measure_operator
 
+# smallest eigenvalue an input state to evolve may have
+POSITIVITY_FLOOR = -1e-9
+
 
 def lindblad_rhs(rho: np.ndarray, cutoffs: ModeCutoffs) -> np.ndarray:
     """d rho / d tau = sum_m [a_m rho a_m^dag - (n_m rho + rho n_m) / 2]."""
@@ -62,7 +65,7 @@ def evolve(state: DensityMatrix, record_times, step=None) -> list[TrajectoryPoin
 
     Each record point is ``damp`` of the input state itself.  The channel is
     completely positive and trace preserving for tau >= 0, so the input is
-    checked for positivity once, against ``state.tol.positivity_floor``.
+    checked for positivity once, against ``POSITIVITY_FLOOR``.
     ``step`` is accepted and ignored, for callers of the former integrator.
     """
     times = [float(t) for t in record_times]
@@ -71,7 +74,7 @@ def evolve(state: DensityMatrix, record_times, step=None) -> list[TrajectoryPoin
     if any(t < 0 for t in times) or times != sorted(times):
         raise ValueError("record times must be nonnegative and ascending")
     low = state.min_eigenvalue()
-    if low < state.tol.positivity_floor:
+    if low < POSITIVITY_FLOOR:
         raise RuntimeError(f"input state is not positive (smallest eigenvalue {low:.3e})")
     cut = state.cutoffs
     out = []

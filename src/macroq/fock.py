@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .config import DEFAULT, Tolerances
-
 
 class TruncationLeakError(RuntimeError):
     """Raised when an operation pushes weight past the Fock cutoff."""
@@ -68,6 +66,11 @@ _TILE = 256
 MAX_DENSE_DIM = 4096
 # most entries (dim x rank) a product-rank state's factor V may hold
 MAX_FACTOR_ENTRIES = 2 ** 22
+# max|rho - rho^H| relative to max|rho| that DensityMatrix accepts
+HERMITICITY_TOL = 1e-12
+# trace lost past the cutoff that apply_displacement refuses and the catalog
+# constructors warn about
+LEAK_TOL = 1e-6
 
 
 def _hermitian_part(rho: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -113,9 +116,8 @@ class DensityMatrix:
     ``MAX_DENSE_DIM``.
     """
 
-    def __init__(self, cutoffs, data, tol: Tolerances = DEFAULT):
+    def __init__(self, cutoffs, data):
         self.cutoffs = as_cutoffs(cutoffs)
-        self.tol = tol
         self.factors = None
         rho = np.asarray(data, dtype=complex)
         d = self.cutoffs.dim
@@ -124,7 +126,7 @@ class DensityMatrix:
         scale, dev, rho = _hermitian_part(rho)
         if scale == 0.0:
             raise ValueError("density matrix is zero")
-        if dev > self.tol.hermiticity * scale:
+        if dev > HERMITICITY_TOL * scale:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         tr = float(rho.trace().real)
         if tr <= 0.0:
@@ -145,7 +147,6 @@ class DensityMatrix:
         """
         self = cls.__new__(cls)
         self.cutoffs = as_cutoffs(cutoffs)
-        self.tol = DEFAULT
         V = np.asarray(V, dtype=complex)
         C = np.asarray(C, dtype=complex)
         r = C.shape[0]
@@ -402,11 +403,11 @@ def apply_displacement(state: DensityMatrix, betas) -> DensityMatrix:
         D = np.kron(D, displacement_matrix(cut.cutoffs[m], betas[m]))
     rho = D @ state.data @ D.conj().T
     leak = 1.0 - float(rho.trace().real)
-    if leak > state.tol.displacement_leak:
+    if leak > LEAK_TOL:
         raise TruncationLeakError(
             f"displacement leaks {leak:.3e} of the trace past the cutoff; "
             "increase the Fock dimension")
-    return DensityMatrix(cut, rho, tol=state.tol)
+    return DensityMatrix(cut, rho)
 
 
 def apply_rotation(state: DensityMatrix, thetas) -> DensityMatrix:
@@ -420,4 +421,4 @@ def apply_rotation(state: DensityMatrix, thetas) -> DensityMatrix:
     for m, th in enumerate(thetas):
         phase = phase + float(th) * number_diagonal(cut, mode=m)
     u = np.exp(1j * phase)
-    return DensityMatrix(cut, u[:, None] * state.data * u.conj()[None, :], tol=state.tol)
+    return DensityMatrix(cut, u[:, None] * state.data * u.conj()[None, :])

@@ -74,7 +74,10 @@ class ProductRankState:
         if np.any(norms == 0.0):
             raise ValueError("zero factor vector")
         self.kets = stacked / norms[:, :, None]
-        scales = np.prod(norms, axis=0)
+        # each term's norm product, as a log sum shifted so the largest is 1:
+        # over thousands of modes the product itself leaves the float range
+        logs = np.log(norms).sum(axis=0)
+        scales = np.exp(logs - logs.max())
         coeff = coeff * np.outer(scales, scales)
 
         tr = float(np.real(np.einsum("ij,ji->", coeff, self.gram())))

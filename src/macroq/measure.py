@@ -20,11 +20,10 @@ import numpy as np
 # Nothing in macroq calls scipy.integrate.  The import stays only because the
 # benchmark's import-time probe (perfbench/run.py, Runner.importtime) fails
 # when `import macroq` no longer loads it; dropping both saves about 0.34 s
-# of import (ROADMAP item 3).
+# of import (ROADMAP items 1 and 2).
 import scipy.integrate  # noqa: F401
 
 from . import phasespace
-from .config import DEFAULT, Tolerances
 from .fock import DensityMatrix, exchange_trace, factored_exchange_trace, number_diagonal
 
 class ConvergenceError(RuntimeError):
@@ -116,9 +115,10 @@ def measure_operator(state: DensityMatrix) -> MeasureResult:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_HALVINGS = 12
+_ANGLES_START, _ANGLES_MAX = 64, 1024  # trapezoid angles: first pass, cap
 
 
-def _angular_mean(chi, n_start: int = 64, n_max: int = 1024):
+def _angular_mean(chi):
     """Return a function r -> mean over angles of |chi(r e^{i t})|^2, r an array.
 
     Uses the exact diagonal decomposition when the callable provides it, and a
@@ -134,11 +134,11 @@ def _angular_mean(chi, n_start: int = 64, n_max: int = 1024):
         out = np.empty(flat.size)
         todo = np.arange(flat.size)
         prev = None
-        n = n_start
+        n = _ANGLES_START
         while todo.size:
             th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
             val = np.mean(np.abs(chi(flat[todo, None] * np.exp(1j * th))) ** 2, axis=1)
-            done = np.full(todo.size, n >= n_max)
+            done = np.full(todo.size, n >= _ANGLES_MAX)
             if prev is not None:
                 done |= np.abs(val - prev) <= np.maximum(1e-10 * np.abs(val), 1e-15)
             out[todo[done]] = val[done]
@@ -307,23 +307,19 @@ def measure_char_quadrature(chi, radial_cut: float | None = 8.0,
 # ---------------------------------------------------------------------------
 # Wigner-grid route
 
-def measure_wigner_grid(grid: phasespace.WignerGrid, tol: Tolerances = DEFAULT) -> MeasureResult:
+def measure_wigner_grid(grid: phasespace.WignerGrid) -> MeasureResult:
     """Evaluate I from Wigner samples through the dual characteristic grid.
 
     The transform is a dense two-sided DFT, spectrally accurate for states the
     grid actually contains, hence the hard checks on normalization and
-    boundary leak.  err_estimate compares against a half-resolution pass.
+    boundary leak (``WignerGrid.faults``).  err_estimate compares against a
+    half-resolution pass.
     """
-    norm_dev = abs(grid.norm() - 1.0)
-    if norm_dev > tol.grid_normalization:
-        raise ValueError(f"Wigner grid integral deviates from 1 by {norm_dev:.4f}")
-    peak = float(np.abs(grid.values).max())
-    vals = grid.values
-    edge = max(np.abs(vals[0, :]).max(), np.abs(vals[-1, :]).max(),
-               np.abs(vals[:, 0]).max(), np.abs(vals[:, -1]).max())
-    if peak == 0.0 or edge > tol.boundary_leak * peak:
-        raise ValueError(
-            f"state is not contained in the grid: edge/peak = {edge / max(peak, 1e-300):.2e}")
+    dev, clip = grid.faults()
+    if dev is not None:
+        raise ValueError(f"Wigner grid integral deviates from 1 by {dev:.4f}")
+    if clip is not None:
+        raise ValueError(f"state is not contained in the grid: edge/peak = {clip:.2e}")
 
     def eval_i(xs, ps, W):
         xi_r, xi_i, chi = phasespace._char_from_arrays(xs, ps, W)

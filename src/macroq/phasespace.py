@@ -25,11 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .fock import DensityMatrix, _displaced_columns
 
 _TRIM = 1e-16
 _CHUNK = 1 << 18  # diagonals x radii per pass of the recurrence
+
+# a grid holds the whole state when its integral is within GRID_NORM_TOL of 1
+# and |W| on its edge stays within GRID_EDGE_TOL of the peak |W|
+GRID_NORM_TOL = 0.02
+GRID_EDGE_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +228,16 @@ class WignerGrid:
     def purity(self) -> float:
         return float(np.pi * (self.values ** 2).sum() * self.cell)
 
+    def faults(self) -> tuple[float | None, float | None]:
+        """|integral - 1| if it exceeds GRID_NORM_TOL, and the edge/peak ratio
+        of |W| if it exceeds GRID_EDGE_TOL; None for a check that passes."""
+        vals = np.abs(self.values)
+        dev = abs(self.norm() - 1.0)
+        peak = float(vals.max())
+        edge = max(vals[0].max(), vals[-1].max(), vals[:, 0].max(), vals[:, -1].max())
+        return (dev if dev > GRID_NORM_TOL else None,
+                edge / peak if edge > GRID_EDGE_TOL * peak else None)
+
 
 # ---------------------------------------------------------------------------
 # sampling W in the position representation
@@ -323,15 +337,14 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
 
 
 def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
-              p_axis: Axis | None = None, points: int | None = None,
-              tol: Tolerances = DEFAULT) -> WignerGrid:
+              p_axis: Axis | None = None, points: int | None = None) -> WignerGrid:
     """Sample the Wigner function of a dense single-mode state.
 
     The samples come from the position representation of the state
     (:func:`_sample_wigner`), not from :func:`wigner_points`, which stays
     the pointwise reference.  Default axes span +-4.3 sqrt(2 nbar + 1), so
     the tails of ordinary states (including strongly squeezed ones) fall
-    below the boundary-leak tolerance, at ``points`` points per axis or, by
+    below ``GRID_EDGE_TOL``, at ``points`` points per axis or, by
     default, at :func:`default_points`, which sizes the step from the
     state's Fock bandwidth.  Explicit axes override the defaults.  Emits
     warnings rather than failing, since a clipped grid is still useful to
@@ -345,15 +358,13 @@ def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
         auto = Axis(-hw, hw, default_points(state, hw) if points is None else points)
         x_axis = x_axis or auto
         p_axis = p_axis or auto
-    vals = _sample_wigner(state.data, x_axis, p_axis)
-    grid = WignerGrid(x_axis, p_axis, vals, meta={"convention": "alpha-plane"})
-    peak = float(np.abs(vals).max())
-    edge = max(np.abs(vals[0, :]).max(), np.abs(vals[-1, :]).max(),
-               np.abs(vals[:, 0]).max(), np.abs(vals[:, -1]).max())
-    if edge > tol.boundary_leak * peak:
-        warnings.warn(f"Wigner grid clips the state: edge/peak = {edge / peak:.2e}",
+    grid = WignerGrid(x_axis, p_axis, _sample_wigner(state.data, x_axis, p_axis),
+                      meta={"convention": "alpha-plane"})
+    dev, clip = grid.faults()
+    if clip is not None:
+        warnings.warn(f"Wigner grid clips the state: edge/peak = {clip:.2e}",
                       RuntimeWarning, stacklevel=2)
-    if abs(grid.norm() - 1.0) > tol.grid_normalization:
+    if dev is not None:
         warnings.warn(f"Wigner grid norm {grid.norm():.6f} deviates from 1",
                       RuntimeWarning, stacklevel=2)
     return grid
@@ -421,11 +432,10 @@ def save_wigner(grid: WignerGrid, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_wigner(path, strict_normalization: bool = False,
-                tol: Tolerances = DEFAULT) -> WignerGrid:
+def load_wigner(path, strict_normalization: bool = False) -> WignerGrid:
     """Read a WIGNER-GRID v1 file.
 
-    An off-unit integral beyond ``tol.grid_normalization`` is a warning by
+    An off-unit integral beyond ``GRID_NORM_TOL`` is a warning by
     default (scoring passes it along) and an error with strict_normalization.
     """
     with open(path, encoding="utf-8") as fh:
@@ -464,8 +474,8 @@ def load_wigner(path, strict_normalization: bool = False,
             raise ValueError(f"{path}: row has {len(toks)} values, expected {p_axis.n}")
         values.append([float(t) for t in toks])
     grid = WignerGrid(x_axis, p_axis, np.array(values), meta=meta)
-    dev = abs(grid.norm() - 1.0)
-    if dev > tol.grid_normalization:
+    dev, _ = grid.faults()
+    if dev is not None:
         msg = f"{path}: Wigner integral deviates from 1 by {dev:.4f}"
         if strict_normalization:
             raise ValueError(msg)

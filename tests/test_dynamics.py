@@ -141,6 +141,10 @@ def test_evolve_rejects_unphysical_drift():
     bad = DensityMatrix(as_cutoffs(6), data)
     with pytest.raises(RuntimeError):
         evolve(bad, [2.0])
+    # the positivity floor sits at a smallest eigenvalue of -1e-9
+    with pytest.raises(RuntimeError):
+        evolve(DensityMatrix(2, np.diag([-2e-9, 1.0])), [0.1])
+    evolve(DensityMatrix(2, np.diag([-5e-10, 1.0])), [0.1])
 
 
 def test_cat_decoherence_demo_meets_identity(capsys):

@@ -59,6 +59,10 @@ def test_suggest_cutoff_grows_with_mean_occupation():
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(2, np.array([[1.0, 1.0], [0.0, 1.0]]))  # not Hermitian
+    # the Hermiticity gate sits at 1e-12 of max|rho|
+    with pytest.raises(ValueError):
+        DensityMatrix(2, np.array([[1.0, 2e-12], [0.0, 1.0]]))
+    DensityMatrix(2, np.array([[1.0, 5e-13], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         DensityMatrix(2, np.zeros((2, 2)))
     with pytest.raises(ValueError):

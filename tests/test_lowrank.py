@@ -82,6 +82,14 @@ def test_ghz_value_is_half_party_count():
     assert res.value == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_many_mode_factor_norms_do_not_overflow(scale):
+    # the per-term norm product, scale^1100, leaves the float range either way
+    e0, e1 = np.array([scale, 0.0]), np.array([0.0, scale])
+    state = ProductRankState.superposition([[e0] * 1100, [e1] * 1100])
+    assert measure_lowrank(state).value == pytest.approx(550.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_noon_measure_matches_dense(n):
     state = catalog.make_noon(n)

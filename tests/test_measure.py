@@ -215,6 +215,19 @@ def test_wigner_grid_route_rejects_clipped_grid():
         grid = phasespace.wigner_of(rho, x_axis=ax, p_axis=ax)
     with pytest.raises(ValueError):
         measure_wigner_grid(grid)
+    # the edge gate sits at 1e-8 of the peak |W|, here on one corner sample
+    held = phasespace.wigner_of(rho)
+    peak = np.abs(held.values).max()
+    for ratio, clips in ((2e-8, True), (5e-9, False)):
+        vals = held.values.copy()
+        vals[0, 0] = ratio * peak
+        edged = phasespace.WignerGrid(held.x, held.p, vals)
+        if clips:
+            with pytest.raises(ValueError):
+                measure_wigner_grid(edged)
+        else:
+            assert measure_wigner_grid(edged).value == pytest.approx(
+                catalog.closed_form_scs(1.5).value, abs=1e-3)
 
 
 def test_wigner_grid_route_rejects_denormalized_grid():
@@ -222,6 +235,12 @@ def test_wigner_grid_route_rejects_denormalized_grid():
     bad = phasespace.WignerGrid(grid.x, grid.p, grid.values * 1.05)
     with pytest.raises(ValueError):
         measure_wigner_grid(bad)
+    # the norm gate sits at 2 percent
+    for scale in (1.021, 0.979):
+        with pytest.raises(ValueError):
+            measure_wigner_grid(phasespace.WignerGrid(grid.x, grid.p, grid.values * scale))
+    for scale in (1.019, 0.981):
+        measure_wigner_grid(phasespace.WignerGrid(grid.x, grid.p, grid.values * scale))
 
 
 def test_dispatcher_routes_and_ket_support():

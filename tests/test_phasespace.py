@@ -244,3 +244,8 @@ def test_load_wigner_normalization_policy(tmp_path):
         load_wigner(path)
     with pytest.raises(ValueError):
         load_wigner(path, strict_normalization=True)
+    # within the 2 percent tolerance: no warning, even when strict
+    save_wigner(WignerGrid(grid.x, grid.p, grid.values * 1.019), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_wigner(path, strict_normalization=True)
