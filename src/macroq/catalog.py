@@ -28,6 +28,9 @@ from .measure import MeasureResult
 _HARD_LEAK = 1e-2
 _SCS_GRID_POINTS = 81  # branch centres per axis of make_thermal_scs's grid
 _SCS_SPAN = 5.0        # its half width, in units of sqrt((V - 1) / 2)
+# ln 2 as the sum of two doubles
+_LN2_HI = 0.6931471805599453
+_LN2_LO = 2.3190468138462996e-17
 
 
 def _leak_gate(leak: float, context: str) -> None:
@@ -194,9 +197,11 @@ def make_thermal_scs(V: float, d: float, cutoff: int | None = None) -> DensityMa
     betas = (xs[:, None] + 1j * ys[None, :]).ravel()
     w = np.exp(-2.0 * np.abs(betas - d) ** 2 / lam)
     n = np.arange(cutoff)
-    logc = (-0.5 * np.abs(betas)[:, None] ** 2
-            + n[None, :] * np.log(np.abs(betas))[:, None]
-            - 0.5 * gammaln(n + 1.0)[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = n[None, :] * np.log(np.abs(betas))[:, None]
+    # |beta|^0 = 1 also at beta = 0, where the branch is the vacuum
+    power[:, 0] = 0.0
+    logc = -0.5 * np.abs(betas)[:, None] ** 2 + power - 0.5 * gammaln(n + 1.0)[None, :]
     phases = np.exp(1j * np.angle(betas)[:, None] * n[None, :])
     cp = np.exp(logc) * phases
     cm = cp * (-1.0) ** n[None, :]
@@ -335,13 +340,18 @@ def scs_mean_n(alpha: float) -> float:
     return a2 * np.tanh(a2)
 
 
-def _sinh_ratio(c: float, y: float) -> float:
-    """sinh(c y) / sinh(c) for c > 0 and |y| <= 1, safe against overflow."""
+def _sinh_ratio(c: float, y: float, gap: float) -> float:
+    """sinh(c y) / sinh(c) for c > 0 and |y| <= 1, safe against overflow.
+
+    gap is 1 - |y|.  From c = 300 on the ratio is exp(-c gap) times a factor
+    near one, so an error e in gap costs c e of relative precision: a caller
+    computes gap in a form more precise than 1 - |y| where it can.
+    """
     if c < 300.0:
         return float(np.sinh(c * y) / np.sinh(c))
     if y == 0.0:
         return 0.0
-    mag = np.exp(c * (abs(y) - 1.0)) * (-np.expm1(-2.0 * c * abs(y))) / (-np.expm1(-2.0 * c))
+    mag = np.exp(-c * gap) * (-np.expm1(-2.0 * c * abs(y))) / (-np.expm1(-2.0 * c))
     return float(np.sign(y) * mag)
 
 
@@ -356,7 +366,11 @@ def closed_form_decohered_scs(alpha: float, tau: float) -> MeasureResult:
     alpha, tau = float(alpha), float(tau)
     a2 = alpha ** 2
     x = np.exp(-tau)
-    value = scs_mean_n(alpha) * x * _sinh_ratio(2.0 * a2, 2.0 * x - 1.0)
+    # 2 x - 1 as expm1(ln 2 - tau), so it keeps its relative precision where
+    # it, and I with it, crosses zero at tau = ln 2
+    y = np.expm1((_LN2_HI - tau) + _LN2_LO)
+    gap = -2.0 * np.expm1(-tau) if y >= 0.0 else 2.0 * x  # 1 - |y|
+    value = scs_mean_n(alpha) * x * _sinh_ratio(2.0 * a2, y, gap)
     t2 = x
     g = np.exp(-2.0 * t2 * a2)
     gamma = np.exp(-2.0 * (1.0 - x) * a2)

@@ -7,7 +7,8 @@ mode.  Loss only lowers occupations, so the semigroup has the closed form
 
 with eta = e^-tau, A_m(rho) = a_m rho a_m^dag and N the total number
 operator (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).  It holds exactly
-on the truncated space, for any real tau.
+on the truncated space, for any real tau.  The terms A^k rho / k! of the
+series do not depend on tau, so one series serves every time of a request.
 """
 
 from __future__ import annotations
@@ -16,11 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, ModeCutoffs, a_rho_adag, number_diagonal
+from .fock import DensityMatrix, ModeCutoffs, a_rho_adag, as_cutoffs, number_diagonal
 from .measure import measure_operator
 
 # smallest eigenvalue an input state to evolve may have
 POSITIVITY_FLOOR = -1e-9
+# bytes one batch of the channel holds at once: half for the damped states
+# of evolve and purity_rate_residuals, half for the powers of A
+_BATCH_BYTES = 2 ** 23
+# floats per column strip of the block products in _series_sum
+_STRIP = 2 ** 14
 
 
 def lindblad_rhs(rho: np.ndarray, cutoffs: ModeCutoffs) -> np.ndarray:
@@ -28,27 +34,108 @@ def lindblad_rhs(rho: np.ndarray, cutoffs: ModeCutoffs) -> np.ndarray:
     nd = number_diagonal(cutoffs)
     out = -0.5 * (nd[:, None] + nd[None, :]) * rho
     for m in range(cutoffs.modes):
-        out = out + a_rho_adag(rho, cutoffs, m)
+        out += a_rho_adag(rho, cutoffs, m)
     return out
 
 
-def damp(rho: np.ndarray, cutoffs: ModeCutoffs, tau: float) -> np.ndarray:
-    """Apply the loss channel of duration tau to rho (any real tau).
+def _powers(x: np.ndarray, cutoffs: ModeCutoffs):
+    """Yield A^k x / k! for k = 0, ..., K, with A = sum_m A_m, in the dtype of x.
 
-    A_m is nilpotent on the truncated space, so exp[(1 - eta) A_m] is the
-    finite sum over k < d_m of (1 - eta)^k / k! A_m^k: d_m - 1 calls to
-    ``a_rho_adag`` per mode.  Negative tau gives the exact inverse map.
+    A lowers the total occupation by one, so A^k vanishes past
+    K = sum_m (d_m - 1).  Each power costs one ``a_rho_adag`` call per mode
+    of more than one level.
     """
-    c = -np.expm1(-tau)  # 1 - eta
-    out = np.array(rho, dtype=complex)
-    for m, d in enumerate(cutoffs.cutoffs):
-        term = out
-        for k in range(1, d):
-            term = a_rho_adag(term, cutoffs, m)
-            term *= c / k
-            out += term
-    s = np.exp(-0.5 * tau * number_diagonal(cutoffs))
-    return out * s[:, None] * s[None, :]
+    modes = [m for m, d in enumerate(cutoffs.cutoffs) if d > 1]
+    term = x
+    yield term
+    for k in range(1, sum(cutoffs.cutoffs) - cutoffs.modes + 1):
+        nxt = a_rho_adag(term, cutoffs, modes[0])
+        for m in modes[1:]:
+            nxt += a_rho_adag(term, cutoffs, m)
+        nxt *= 1.0 / k
+        term = nxt
+        yield term
+
+
+def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Write the channel applied to x for each tau of the 1-D ``taus`` into out.
+
+    x is a C-contiguous real or complex matrix and out a C-contiguous stack
+    of len(taus) matrices of its dtype.  The powers of A are summed a block
+    at a time, each block as real matrix products over column strips, so no
+    temporary outgrows a strip.
+    """
+    size = sum(cutoffs.cutoffs) - cutoffs.modes + 1
+    coef = (-np.expm1(-taus))[:, None] ** np.arange(size)  # (1 - eta)^k
+    per = max(1, min(size, _BATCH_BYTES // (2 * x.nbytes)))
+    block = np.empty((per,) + x.shape, dtype=x.dtype)
+    flat_block = block.reshape(per, -1).view(np.float64)
+    flat_out = out.reshape(taus.size, -1).view(np.float64)
+    flat_out[:] = 0.0
+    for k, term in enumerate(_powers(x, cutoffs)):
+        j = k % per
+        block[j] = term
+        if j == per - 1 or k == size - 1:
+            w = coef[:, k - j:k + 1]
+            for c0 in range(0, flat_out.shape[1], _STRIP):
+                cols = slice(c0, c0 + _STRIP)
+                flat_out[:, cols] += w @ flat_block[:j + 1, cols]
+    s = np.exp(-0.5 * taus[:, None] * number_diagonal(cutoffs))
+    out *= s[:, :, None]
+    out *= s[:, None, :]
+    return out
+
+
+def damp(rho: np.ndarray, cutoffs: ModeCutoffs, tau) -> np.ndarray:
+    """Apply the loss channel of duration tau to rho, for one tau or an array of them.
+
+    A = sum_m A_m is nilpotent on the truncated space, so exp[(1 - eta) A] is
+    the finite sum over k <= K = sum_m (d_m - 1) of (1 - eta)^k A^k / k!.  The
+    terms A^k rho / k! do not depend on tau: one series of K powers, K calls
+    to ``a_rho_adag`` per mode, serves every tau, and each tau only weighs
+    and adds them.  Any real tau is allowed; a negative one gives the exact
+    inverse map.  A scalar tau returns the dim x dim matrix, an array of taus
+    the stack of shape ``tau.shape + (dim, dim)``.
+    """
+    cut = as_cutoffs(cutoffs)
+    taus = np.asarray(tau, dtype=float)
+    x = np.array(rho, dtype=complex)
+    out = np.empty((taus.size,) + x.shape, dtype=complex)
+    _series_sum(x, cut, taus.ravel(), out)
+    return out.reshape(taus.shape + x.shape)
+
+
+def _packed_batches(state: DensityMatrix, times: np.ndarray):
+    """Yield (start, stack), where stack[i] is the state damped for times[start + i], packed.
+
+    A Hermitian rho packs into the real matrix Re rho + Im rho, whose
+    symmetric part is Re rho and antisymmetric part Im rho.  The channel is
+    real-linear and commutes with the transpose, so it maps each part onto
+    the same part of the image: one real series does the work of the complex
+    one, at half the memory and arithmetic.  The sum of squares of a packed
+    state is its purity.  The times go in even batches whose stack stays
+    within half of ``_BATCH_BYTES``, each read off one series into the
+    same buffer: a stack is only good until the next one is asked for.
+    """
+    data = state.data
+    x = data.real + data.imag
+    per = max(1, _BATCH_BYTES // (2 * x.nbytes))
+    chunks = np.array_split(times, -(-times.size // per))
+    buffer = np.empty((len(chunks[0]),) + x.shape)
+    start = 0
+    for chunk in chunks:
+        yield start, _series_sum(x, state.cutoffs, chunk, buffer[:chunk.size])
+        start += chunk.size
+
+
+def _unpacked(y: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix whose packed form is y."""
+    out = np.empty(y.shape, dtype=complex)
+    np.add(y, y.T, out=out.real)
+    np.subtract(y, y.T, out=out.imag)
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,29 +147,37 @@ class TrajectoryPoint:
     mean_n: float
 
 
-def evolve(state: DensityMatrix, record_times, step=None) -> list[TrajectoryPoint]:
-    """Apply the loss channel to the input, recording I, purity and occupation.
-
-    Each record point is ``damp`` of the input state itself.  The channel is
-    completely positive and trace preserving for tau >= 0, so the input is
-    checked for positivity once, against ``POSITIVITY_FLOOR``.
-    ``step`` is accepted and ignored, for callers of the former integrator.
-    """
-    times = [float(t) for t in record_times]
-    if not times:
+def _checked_times(state: DensityMatrix, record_times) -> np.ndarray:
+    """The record times as an array, once they and the input state pass the checks."""
+    times = np.array([float(t) for t in record_times])
+    if not times.size:
         raise ValueError("need at least one record time")
-    if any(t < 0 for t in times) or times != sorted(times):
+    if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("record times must be nonnegative and ascending")
     low = state.min_eigenvalue()
     if low < POSITIVITY_FLOOR:
         raise RuntimeError(f"input state is not positive (smallest eigenvalue {low:.3e})")
+    return times
+
+
+def evolve(state: DensityMatrix, record_times, step=None) -> list[TrajectoryPoint]:
+    """Apply the loss channel to the input, recording I, purity and occupation.
+
+    Every record point is the channel applied to the input state itself, all
+    of them read off one series.  The channel is completely positive and
+    trace preserving for tau >= 0, so the input is checked for positivity
+    once, against ``POSITIVITY_FLOOR``.  ``step`` is accepted and ignored,
+    for callers of the former integrator.
+    """
+    times = _checked_times(state, record_times)
     cut = state.cutoffs
     out = []
-    for tau in times:
-        point = DensityMatrix(cut, damp(state.data, cut, tau))
-        out.append(TrajectoryPoint(tau=tau, state=point,
-                                   value=measure_operator(point).value,
-                                   purity=point.purity(), mean_n=point.mean_number()))
+    for start, stack in _packed_batches(state, times):
+        for tau, packed in zip(times[start:], stack):
+            point = DensityMatrix(cut, _unpacked(packed))
+            out.append(TrajectoryPoint(tau=float(tau), state=point,
+                                       value=measure_operator(point).value,
+                                       purity=point.purity(), mean_n=point.mean_number()))
     return out
 
 
@@ -90,17 +185,25 @@ def purity_rate_residuals(state: DensityMatrix, taus, step=None,
                           h: float = 0.002) -> np.ndarray:
     """|dP/dtau + 2 I| at the requested times.
 
-    The derivative uses a fourth-order centered stencil whose four legs
-    (tau +- h, tau +- 2h) come from ``damp``, so the residual measures the
-    identity itself and the stencil's O(h^4) error.  ``step`` is accepted and
-    ignored, for callers of the former integrator.
+    The derivative uses a fourth-order centered stencil over tau + k h,
+    k = -2, ..., 2.  Each record state and its four legs are the channel
+    applied to the input state, all read off one series (the semigroup makes
+    this exact, also for the inverse map a leg takes when tau < 2h), so the
+    residual measures the identity itself and the stencil's O(h^4) error.
+    The input and the times are checked as ``evolve`` checks them.  ``step``
+    is accepted and ignored, for callers of the former integrator.
     """
-    out = []
-    for pt in evolve(state, taus):
-        ps = []
-        for k in (-2, -1, 1, 2):
-            leg = damp(pt.state.data, pt.state.cutoffs, k * h)
-            ps.append(float(np.real(np.einsum("ij,ji->", leg, leg))))
-        dp = (-ps[3] + 8.0 * ps[2] - 8.0 * ps[1] + ps[0]) / (12.0 * h)
-        out.append(abs(dp + 2.0 * pt.value))
-    return np.array(out)
+    times = _checked_times(state, taus)
+    cut = state.cutoffs
+    legs = (times[:, None] + h * np.arange(-2, 3)).ravel()
+    ps = np.empty(legs.size)
+    values = np.empty(times.size)
+    for start, stack in _packed_batches(state, legs):
+        ps[start:start + len(stack)] = np.einsum("tij,tij->t", stack, stack)
+        for i in range(start, start + len(stack)):
+            if i % 5 == 2:
+                point = DensityMatrix(cut, _unpacked(stack[i - start]))
+                values[i // 5] = measure_operator(point).value
+    ps = ps.reshape(-1, 5)
+    dp = (-ps[:, 4] + 8.0 * ps[:, 3] - 8.0 * ps[:, 1] + ps[:, 0]) / (12.0 * h)
+    return np.abs(dp + 2.0 * values)

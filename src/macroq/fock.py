@@ -124,12 +124,14 @@ class DensityMatrix:
         if rho.shape != (d, d):
             raise ValueError(f"density matrix has shape {rho.shape}, expected {(d, d)}")
         scale, dev, rho = _hermitian_part(rho)
+        if not np.isfinite(scale):
+            raise ValueError("density matrix has entries that are not finite")
         if scale == 0.0:
             raise ValueError("density matrix is zero")
         if dev > HERMITICITY_TOL * scale:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         tr = float(rho.trace().real)
-        if tr <= 0.0:
+        if not tr > 0.0:
             raise ValueError(f"trace {tr!r} is not positive")
         rho /= tr
         self._data = rho

@@ -191,3 +191,83 @@ def test_ghz_noon_constructors():
     noon = catalog.make_noon(4)
     dense = noon.to_dense()
     assert dense.mean_number() == pytest.approx(4.0)
+
+
+def test_thermal_scs_grid_through_zero_amplitude():
+    # V = 3, d = 1 puts beta = 0 on the branch grid, whose branch is the vacuum
+    rho = catalog.make_thermal_scs(3.0, 1.0)
+    assert np.all(np.isfinite(rho.data))
+    chi = catalog.ThermalSCSChar(3.0, 1.0)
+    assert measure_operator(rho).value == pytest.approx(
+        catalog.thermal_scs_measure(3.0, 1.0).value, abs=1e-9)
+    assert rho.mean_number() == pytest.approx(chi.mean_n, abs=1e-8)
+    assert rho.purity() == pytest.approx(chi.purity, abs=1e-9)
+
+
+def _relative_gap(got, exact, mpmath):
+    """|got - exact| / |exact|; a result that underflows to within 1e-300 counts as exact."""
+    err = abs(mpmath.mpf(got) - exact)
+    if abs(exact) < 1e-300:
+        return 0.0 if err < 1e-300 else float("inf")
+    return float(err / abs(exact))
+
+
+def test_sinh_ratio_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(60):
+        # both sides of the c = 300 switch to the exponential form
+        for c in (1e-3, 0.5, 10.0, 299.0, 299.999, 300.0, 300.5, 700.0, 1800.0):
+            for y in (-1.0, -0.999, -0.7, -0.3, -1e-3, 0.0, 1e-6, 0.3, 0.7, 0.9999, 1.0):
+                exact = mpmath.sinh(mpmath.mpf(c) * y) / mpmath.sinh(mpmath.mpf(c))
+                got = catalog._sinh_ratio(c, y, 1.0 - abs(y))
+                worst = max(worst, _relative_gap(got, exact, mpmath))
+    assert worst <= 1e-13
+
+
+def _damped_cat_oracle(alpha, tau, mpmath):
+    """I, <n> and purity of the damped even cat, from its coherent-state form.
+
+    rho = sum_ij c_ij |b_i><b_j| with b = (beta, -beta), beta = alpha e^(-tau/2)
+    and c proportional to [[1, gamma], [gamma, 1]], gamma = exp(-2 alpha^2 (1 - e^-tau)).
+    With <p|q> = exp(-(p - q)^2 / 2) for real amplitudes, Tr(rho^2 n) - Tr(a rho a^dag rho)
+    is sum c_ij c_kl <b_j|b_k> <b_l|b_i> b_i (b_l - b_j).
+    """
+    x = mpmath.exp(-mpmath.mpf(tau))
+    beta = mpmath.mpf(alpha) * mpmath.sqrt(x)
+    gamma = mpmath.exp(-2 * mpmath.mpf(alpha) ** 2 * (1 - x))
+    b = (beta, -beta)
+
+    def overlap(p, q):
+        return mpmath.exp(-(p - q) ** 2 / 2)
+
+    weight = [[1, gamma], [gamma, 1]]
+    norm = sum(weight[i][j] * overlap(b[j], b[i]) for i in range(2) for j in range(2))
+    c = [[weight[i][j] / norm for j in range(2)] for i in range(2)]
+    value = purity = 0
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        w = c[i][j] * c[k][l] * overlap(b[j], b[k]) * overlap(b[l], b[i])
+        purity += w
+        value += w * b[i] * (b[l] - b[j])
+    mean_n = sum(c[i][j] * b[i] * b[j] * overlap(b[j], b[i])
+                 for i in range(2) for j in range(2))
+    return value, mean_n, purity
+
+
+def test_decohered_scs_closed_form_against_mpmath():
+    # 2 alpha^2 on both sides of the c = 300 switch of _sinh_ratio, up to
+    # alpha = 30; tau around ln 2, where I changes sign.  The bound holds while
+    # the exponent 2 alpha^2 (1 - |2 e^-tau - 1|) stays below about 400: past
+    # that, the float64 exponential itself costs about 2e-16 per unit of the
+    # exponent (1.0e-13 at alpha = 25, tau = 1.35, where I = -5.7e-280)
+    mpmath = pytest.importorskip("mpmath")
+    ln2 = float(np.log(2.0))
+    worst = 0.0
+    with mpmath.workdps(60):
+        for alpha in (0.5, 2.0, 12.2, 12.3, 20.0, 30.0):
+            for tau in (1e-4, 0.05, 0.3, ln2 - 1e-9, ln2, ln2 + 1e-6, 1.0, 2.5):
+                res = catalog.closed_form_decohered_scs(alpha, tau)
+                exact = _damped_cat_oracle(alpha, tau, mpmath)
+                for got, ref in zip((res.value, res.mean_n, res.purity), exact):
+                    worst = max(worst, _relative_gap(got, ref, mpmath))
+    assert worst <= 1e-13

@@ -106,6 +106,16 @@ def test_measure_dur_routes_agree(capsys):
                                                         abs=1e-10)
 
 
+def test_measure_thermal_scs_with_vacuum_branch_is_finite(capsys):
+    # the branch grid of V = 3, d = 1 holds beta = 0
+    rc, out, err = run(capsys, "measure", "--state", "thermal-scs", "--V", "3",
+                       "--d", "1", "--route", "operator")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["value"] == pytest.approx(catalog.thermal_scs_measure(3.0, 1.0).value,
+                                             abs=1e-9)
+
+
 def test_measure_missing_param_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--state", "scs"])

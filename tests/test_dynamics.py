@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from macroq import catalog
+from macroq import catalog, dynamics
 from macroq.dynamics import damp, evolve, lindblad_rhs, purity_rate_residuals
 from macroq.fock import DensityMatrix, ModeCutoffs, as_cutoffs
 from macroq.measure import measure_operator
@@ -78,19 +78,104 @@ def _random_state(cutoffs, seed):
     return DensityMatrix(cutoffs, g @ g.conj().T)
 
 
-@pytest.mark.parametrize("tau", [-0.01, 0.3, 2.0])
-def test_damp_matches_generator_exponential(tau):
-    # the superoperator of lindblad_rhs, assembled column by column
-    cut = ModeCutoffs((3, 2))
+def _generator(cut):
+    """The superoperator of lindblad_rhs, assembled column by column."""
     d = cut.dim
     gen = np.empty((d * d, d * d), dtype=complex)
     for col in range(d * d):
         unit = np.zeros(d * d, dtype=complex)
         unit[col] = 1.0
         gen[:, col] = lindblad_rhs(unit.reshape(d, d), cut).ravel()
+    return gen
+
+
+@pytest.mark.parametrize("tau", [-0.01, 0.3, 2.0])
+def test_damp_matches_generator_exponential(tau):
+    cut = ModeCutoffs((3, 2))
+    d = cut.dim
     rho = _random_state(cut, 3).data
-    ref = (expm(tau * gen) @ rho.ravel()).reshape(d, d)
+    ref = (expm(tau * _generator(cut)) @ rho.ravel()).reshape(d, d)
     assert np.abs(damp(rho, cut, tau) - ref).max() < 1e-13
+
+
+def test_batched_damp_matches_scalar_calls_and_generator():
+    cut = ModeCutoffs((3, 2))
+    d = cut.dim
+    rho = _random_state(cut, 3).data
+    gen = _generator(cut)
+    taus = np.array([-0.01, 0.0, 0.3, 2.0])
+    batch = damp(rho, cut, taus)
+    assert batch.shape == (4, d, d)
+    for tau, out in zip(taus, batch):
+        assert np.abs(out - damp(rho, cut, tau)).max() < 1e-13
+        ref = (expm(tau * gen) @ rho.ravel()).reshape(d, d)
+        assert np.abs(out - ref).max() < 1e-13
+    assert damp(rho, cut, 0.3).shape == (d, d)
+    grid = damp(rho, cut, taus.reshape(2, 2))
+    assert grid.shape == (2, 2, d, d)
+    assert np.abs(grid.reshape(4, d, d) - batch).max() < 1e-13
+
+
+def test_evolve_states_match_damp_on_a_complex_state():
+    # evolve runs the series on the real packing Re rho + Im rho of the state
+    state = _random_state(ModeCutoffs((4, 3)), 7)
+    taus = [0.0, 0.1, 0.7, 3.0]
+    ref = damp(state.data, state.cutoffs, np.array(taus))
+    for point, want in zip(evolve(state, taus), ref):
+        assert np.abs(point.state.data - want).max() < 1e-14
+        assert point.purity == pytest.approx(float(np.sum(np.abs(want) ** 2)), abs=1e-14)
+
+
+def test_damp_reads_every_time_off_one_series(monkeypatch):
+    # a two-mode 17 x 17 state: K = 32 powers of A, each one call per mode
+    calls = []
+    real = dynamics.a_rho_adag
+    monkeypatch.setattr(dynamics, "a_rho_adag",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    cut = ModeCutoffs((17, 17))
+    cats = [catalog.make_scs(a, 17).data for a in (1.1, 1.2)]
+    state = DensityMatrix(cut, np.kron(*cats))
+    series = 2 * 32
+    damp(state.data, cut, np.linspace(0.0, 1.0, 15))
+    assert len(calls) == series
+    calls.clear()
+    evolve(state, [0.25, 0.5, 1.0])
+    assert len(calls) == series
+    calls.clear()
+    # fifteen stencil times, in batches of at most five
+    purity_rate_residuals(state, [0.25, 0.5, 1.0])
+    assert len(calls) % series == 0 and len(calls) <= 3 * series
+
+
+def test_purity_rate_residuals_does_not_rerun_evolve(monkeypatch):
+    state = catalog.make_scs(1.3, 30)
+    before = purity_rate_residuals(state, [0.0, 0.2, 0.6])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("purity_rate_residuals called evolve")
+
+    monkeypatch.setattr(dynamics, "evolve", refuse)
+    after = purity_rate_residuals(state, [0.0, 0.2, 0.6])
+    assert np.array_equal(before, after)
+    assert max(after) < 1e-6
+    with pytest.raises(ValueError):
+        purity_rate_residuals(state, [0.3, 0.1])
+    with pytest.raises(ValueError):
+        purity_rate_residuals(state, [-0.1, 0.2])
+    with pytest.raises(RuntimeError):
+        purity_rate_residuals(DensityMatrix(2, np.diag([-2e-9, 1.0])), [0.1])
+
+
+def test_ignored_step_keyword_changes_nothing():
+    # the benchmark's loss workload still passes step=0.01
+    state = catalog.make_scs(1.5, 30)
+    taus = [0.25, 0.5, 1.0]
+    plain, stepped = evolve(state, taus), evolve(state, taus, step=0.01)
+    for a, b in zip(plain, stepped):
+        assert (a.tau, a.value, a.purity, a.mean_n) == (b.tau, b.value, b.purity, b.mean_n)
+        assert np.array_equal(a.state.data, b.state.data)
+    assert np.array_equal(purity_rate_residuals(state, taus),
+                          purity_rate_residuals(state, taus, step=0.01))
 
 
 def test_damp_is_a_trace_preserving_semigroup():

@@ -72,6 +72,14 @@ def test_density_matrix_validation():
     assert rho.data.trace() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("entries", [[[np.nan, 0.0], [0.0, 1.0]],
+                                     [[1.0, np.nan], [np.nan, 1.0]],
+                                     [[np.inf, 0.0], [0.0, 1.0]]])
+def test_density_matrix_refuses_entries_that_are_not_finite(entries):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        DensityMatrix(2, np.array(entries))
+
+
 def test_density_matrix_moments():
     rho = DensityMatrix(4, np.diag([0.5, 0.25, 0.25, 0.0]))
     assert rho.mean_number() == pytest.approx(0.75)
