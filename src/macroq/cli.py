@@ -216,8 +216,7 @@ def cmd_emit_wigner(parser, args) -> int:
     entry, values, cut = _state_args(parser, args)
     state = entry.build(*values, cut)
     # checked before _dense, which would expand a product-rank state first
-    modes = state.modes if isinstance(state, ProductRankState) else \
-        state.cutoffs.modes if isinstance(state, DensityMatrix) else 1
+    modes = getattr(state, "modes", 1)
     if modes > 1:
         raise ValueError(f"Wigner grids are single-mode, and state {args.state} "
                          f"has {modes} modes")
@@ -314,7 +313,7 @@ def cmd_check(parser, args) -> int:
 
     coh = catalog.make_coherent(1.0, 25)
     r_op = measure_operator(coh).value
-    r_ch = measure_char_quadrature(phasespace.char_of(coh), radial_cut=None).value
+    r_ch = measure_char_quadrature(phasespace.char_of(coh)).value
     r_wg = measure_wigner_grid(phasespace.wigner_of(coh)).value
     spread = max(r_op, r_ch, r_wg) - min(r_op, r_ch, r_wg)
     record("route-triangle", spread <= 1e-3, spread)

@@ -27,6 +27,8 @@ POSITIVITY_FLOOR = -1e-9
 _BATCH_BYTES = 2 ** 23
 # floats per column strip of the block products in _series_sum
 _STRIP = 2 ** 14
+# spacing h of the five-point stencil in purity_rate_residuals
+STENCIL_STEP = 0.002
 
 
 def lindblad_rhs(rho: np.ndarray, cutoffs: ModeCutoffs) -> np.ndarray:
@@ -175,26 +177,27 @@ def evolve(state: DensityMatrix, record_times, step=None) -> list[TrajectoryPoin
     for start, stack in _packed_batches(state, times):
         for tau, packed in zip(times[start:], stack):
             point = DensityMatrix(cut, _unpacked(packed))
-            out.append(TrajectoryPoint(tau=float(tau), state=point,
-                                       value=measure_operator(point).value,
-                                       purity=point.purity(), mean_n=point.mean_number()))
+            res = measure_operator(point)
+            out.append(TrajectoryPoint(tau=float(tau), state=point, value=res.value,
+                                       purity=res.purity, mean_n=res.mean_n))
     return out
 
 
-def purity_rate_residuals(state: DensityMatrix, taus, step=None,
-                          h: float = 0.002) -> np.ndarray:
+def purity_rate_residuals(state: DensityMatrix, taus, step=None) -> np.ndarray:
     """|dP/dtau + 2 I| at the requested times.
 
     The derivative uses a fourth-order centered stencil over tau + k h,
-    k = -2, ..., 2.  Each record state and its four legs are the channel
-    applied to the input state, all read off one series (the semigroup makes
-    this exact, also for the inverse map a leg takes when tau < 2h), so the
-    residual measures the identity itself and the stencil's O(h^4) error.
+    k = -2, ..., 2, with h = ``STENCIL_STEP``.  Each record state and its
+    four legs are the channel applied to the input state, all read off one
+    series (the semigroup makes this exact, also for the inverse map a leg
+    takes when tau < 2h), so the residual measures the identity itself and
+    the stencil's O(h^4) error.
     The input and the times are checked as ``evolve`` checks them.  ``step``
     is accepted and ignored, for callers of the former integrator.
     """
     times = _checked_times(state, taus)
     cut = state.cutoffs
+    h = STENCIL_STEP
     legs = (times[:, None] + h * np.arange(-2, 3)).ravel()
     ps = np.empty(legs.size)
     values = np.empty(times.size)

@@ -123,9 +123,9 @@ class DensityMatrix:
         d = self.cutoffs.dim
         if rho.shape != (d, d):
             raise ValueError(f"density matrix has shape {rho.shape}, expected {(d, d)}")
-        scale, dev, rho = _hermitian_part(rho)
-        if not np.isfinite(scale):
+        if not np.isfinite(rho).all():
             raise ValueError("density matrix has entries that are not finite")
+        scale, dev, rho = _hermitian_part(rho)
         if scale == 0.0:
             raise ValueError("density matrix is zero")
         if dev > HERMITICITY_TOL * scale:
@@ -135,6 +135,7 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} is not positive")
         rho /= tr
         self._data = rho
+        self._min_eigenvalue = None
 
     @classmethod
     def factored(cls, cutoffs, V, C) -> DensityMatrix:
@@ -161,6 +162,7 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} is not positive")
         self.factors = (V, C / tr)
         self._data = None
+        self._min_eigenvalue = None
         return self
 
     @property
@@ -177,6 +179,10 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.cutoffs.dim
+
+    @property
+    def modes(self) -> int:
+        return self.cutoffs.modes
 
     def mean_number(self) -> float:
         n = number_diagonal(self.cutoffs)
@@ -196,7 +202,10 @@ class DensityMatrix:
         return float(np.einsum("ij,ij->", flat, flat))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.data)[0])
+        """Smallest eigenvalue of the dense matrix, computed on first call and kept."""
+        if self._min_eigenvalue is None:
+            self._min_eigenvalue = float(np.linalg.eigvalsh(self.data)[0])
+        return self._min_eigenvalue
 
 
 def _trace_product(x: np.ndarray, y: np.ndarray) -> float:

@@ -15,8 +15,12 @@ import math
 
 import numpy as np
 
-from .fock import MAX_FACTOR_ENTRIES, DensityMatrix, ModeCutoffs
+from .fock import HERMITICITY_TOL, MAX_FACTOR_ENTRIES, DensityMatrix, ModeCutoffs
 from .measure import MeasureResult
+
+# smallest eigenvalue of a coefficient matrix, relative to its largest
+# entry, that ProductRankState accepts
+WEIGHT_FLOOR = -1e-9
 
 
 def _stack_factors(factors) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -59,12 +63,13 @@ class ProductRankState:
         coeff = np.asarray(coeff, dtype=complex)
         if coeff.shape != (self.rank, self.rank):
             raise ValueError(f"coeff shape {coeff.shape} does not match rank {self.rank}")
+        scale = max(float(np.abs(coeff).max()), 1e-300)
         dev = float(np.abs(coeff - coeff.conj().T).max())
-        if dev > 1e-12 * max(float(np.abs(coeff).max()), 1e-300):
+        if dev > HERMITICITY_TOL * scale:
             raise ValueError("coefficient matrix is not Hermitian")
         coeff = 0.5 * (coeff + coeff.conj().T)
         low = float(np.linalg.eigvalsh(coeff)[0])
-        if low < -1e-9 * max(float(np.abs(coeff).max()), 1e-300):
+        if low < WEIGHT_FLOOR * scale:
             raise ValueError(f"coefficient matrix has negative weight {low:.3e}")
 
         stacked, self.dims = _stack_factors(factors)

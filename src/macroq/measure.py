@@ -183,23 +183,24 @@ def _default_breakpoints(R: float) -> list[float]:
     return sorted(p for p in pts if 0.0 < p < R)
 
 
-def _panel_quadrature(s, edges) -> tuple[np.ndarray, np.ndarray, int]:
+def _panel_quadrature(s, edges) -> tuple[np.ndarray, float, int]:
     """Integrate (r^2 - 1) s(r) r and s(r) r over the panels between ``edges``.
 
     Each panel's 20-point Gauss-Legendre sum is compared with the sum over its
-    two halves; a panel whose two sums differ by more than its width's share
-    of max(1e-13, 1e-10 |total|) is halved, at most _MAX_HALVINGS times.
-    Each level evaluates s once, at the nodes of all its open panels.
-    Returns the (I, P) integrals, their error estimates and how many panels
-    were still open when the budget ran out.  A panel's error is its
-    |coarse - fine| difference, floored as in QUADPACK at 50 eps times the
-    integral of the integrand's magnitude, which bounds the rounding.
+    two halves; a panel whose two sums differ, for either integrand, by more
+    than its width's share of max(1e-13, 1e-10 |total|) is halved, at most
+    _MAX_HALVINGS times.  Each level evaluates s once, at the nodes of all
+    its open panels.  Returns the (I, P) integrals, the error estimate of the
+    I integral and how many panels were still open when the budget ran out.
+    A panel's error is its |coarse - fine| difference, floored as in QUADPACK
+    at 50 eps times the integral of the integrand's magnitude, which bounds
+    the rounding.
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
     width = b[-1] - a[0]
     value = np.zeros(2)
-    err = np.zeros(2)
+    err = 0.0
     for level in range(_MAX_HALVINGS + 1):
         mid = 0.5 * (a + b)
         lo, hi = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
@@ -218,10 +219,9 @@ def _panel_quadrature(s, edges) -> tuple[np.ndarray, np.ndarray, int]:
         tol = np.maximum(1e-13, 1e-10 * np.abs(total))[:, None] * (b - a) / width
         ok = (diff <= tol).all(axis=0)
         done = ok | (level == _MAX_HALVINGS)
-        rounding = 50.0 * np.finfo(float).eps * np.stack(
-            [left[2] + right[2], fine[1]])
+        rounding = 50.0 * np.finfo(float).eps * (left[2] + right[2])
         value += fine[:, done].sum(axis=1)
-        err += np.maximum(diff, rounding)[:, done].sum(axis=1)
+        err += np.maximum(diff[0], rounding)[done].sum()
         if done.all():
             return value, err, int((~ok).sum())
         a, mid, b = a[~done], mid[~done], b[~done]
@@ -239,7 +239,19 @@ def _mean_n_from_char(chi) -> float:
     return (4.0 * e2 - e1) / 3.0
 
 
-def _single_mode_quadrature(chi, radial_cut):
+def measure_char_quadrature(chi, radial_cut: float | None = None,
+                            tol: float = 1e-8) -> MeasureResult:
+    """Integrate (|xi|^2 - 1)|chi|^2 / (2 pi) over the plane of one mode.
+
+    ``chi`` is a single-mode characteristic function, a callable on complex
+    arrays; the angle is exact when it has ``angular_mean_sq`` and
+    trapezoid-sampled otherwise, and the radius runs on adaptive panels
+    (:func:`_panel_quadrature`).  Without ``radial_cut`` the integrand is
+    probed for a cut, which strongly squeezed states need.  Purity and
+    occupation come from ``chi`` when it carries them.  Raises
+    ConvergenceError, with the partial result attached, when the error
+    budget lands above 50 * tol.
+    """
     s = _angular_mean(chi)
     warns = []
     if radial_cut is None:
@@ -247,56 +259,21 @@ def _single_mode_quadrature(chi, radial_cut):
         warns.extend(capped)
     else:
         R = float(radial_cut)
-    (val_i, val_p), (err_i, err_p), open_panels = _panel_quadrature(
+    (value, val_p), err, open_panels = _panel_quadrature(
         s, [0.0, *_default_breakpoints(R), R])
     if open_panels:
         warns.append(f"radial quadrature left {open_panels} panel(s) unconverged "
                      f"after {_MAX_HALVINGS} halvings")
-
     tail_i, tail_p = _tail_estimates(s, R)
+    err += tail_i
     mean_attr = getattr(chi, "mean_n", None)
     mean = float(mean_attr) if mean_attr is not None else _mean_n_from_char(chi)
     pur_attr = getattr(chi, "purity", None)
-    purity = float(pur_attr) if pur_attr is not None else 2.0 * (val_p + tail_p if np.isfinite(tail_p) else val_p)
-    return {"I": val_i, "errI": err_i + tail_i, "P": 2.0 * val_p,
-            "errP": 2.0 * (err_p + tail_p), "mean": mean,
-            "purity": purity, "R": R, "warnings": warns}
-
-
-def measure_char_quadrature(chi, radial_cut: float | None = 8.0,
-                            tol: float = 1e-8) -> MeasureResult:
-    """Integrate (|xi|^2 - 1)|chi|^2 / (2 pi) radially, with the angle exact or
-    trapezoid-sampled.
-
-    The radial integral runs on adaptive Gauss-Legendre panels
-    (:func:`_panel_quadrature`), which ask for the angular mean at all nodes
-    of a refinement level in one call.  ``chi`` is a callable on complex
-    arrays, or a sequence of per-mode callables for a product state (I then
-    adds per-mode contributions weighted by the other modes' purities).
-    ``radial_cut=None`` probes for a safe cut instead of trusting the default
-    8, which strongly squeezed states outgrow.  Raises ConvergenceError, with
-    the partial result attached, when the error budget lands above 50 * tol.
-    """
-    chis = list(chi) if isinstance(chi, (list, tuple)) else [chi]
-    parts = [_single_mode_quadrature(c, radial_cut) for c in chis]
-
-    purities = np.array([p["purity"] for p in parts])
-    total_p = float(np.prod(purities))
-    value = 0.0
-    err = 0.0
-    for m, part in enumerate(parts):
-        others = total_p / purities[m] if purities[m] > 1e-12 else np.prod(
-            np.delete(purities, m))
-        value += part["I"] * others
-        err += part["errI"] * others
-        rel_others = sum(parts[k]["errP"] / max(purities[k], 1e-12)
-                         for k in range(len(parts)) if k != m)
-        err += abs(part["I"]) * others * rel_others
-    mean = float(sum(p["mean"] for p in parts))
-    warns = tuple(w for p in parts for w in p["warnings"])
+    purity = float(pur_attr) if pur_attr is not None else 2.0 * (
+        val_p + tail_p if np.isfinite(tail_p) else val_p)
 
     result = MeasureResult(value=float(value), route="char-quadrature", mean_n=mean,
-                           purity=total_p, err_estimate=float(err), warnings=warns)
+                           purity=purity, err_estimate=float(err), warnings=tuple(warns))
     if not np.isfinite(err) or err > 50.0 * tol:
         raise ConvergenceError(
             f"quadrature error estimate {err:.3e} exceeds 50 * tol = {50 * tol:.1e}; "
@@ -346,16 +323,15 @@ def measure(state, route: str | None = None) -> MeasureResult:
     ``DenseChar``), takes ``char-quadrature``.  A ``ProductRankState`` goes
     through ``to_dense()``, its factored Fock-space form, for the other
     routes.  ``char-quadrature`` wraps a ``DensityMatrix`` with ``char_of``
-    and probes for its radial cut, since the dispatcher cannot know the
-    state's phase-space extent; callers that need their own cut or grid call
-    the route functions directly.  A state that lacks the form a route needs,
-    and an unknown route, raise ValueError.
+    and lets the route probe for its radial cut; callers that need their own
+    cut or grid call the route functions directly.  A state that lacks the
+    form a route needs, and an unknown route, raise ValueError.
     """
     from .lowrank import ProductRankState, measure_lowrank  # lowrank imports this module
 
     lowrank = isinstance(state, ProductRankState)
     dense = lowrank or isinstance(state, DensityMatrix)
-    modes = state.modes if lowrank else state.cutoffs.modes if dense else 1
+    modes = getattr(state, "modes", 1)  # a characteristic function has one
     if route is None:
         route = "low-rank" if lowrank else "operator" if dense else "char-quadrature"
     # whether the state has the form each route needs, and that form's name
@@ -378,5 +354,4 @@ def measure(state, route: str | None = None) -> MeasureResult:
         return measure_operator(state)
     if route == "wigner-grid":
         return measure_wigner_grid(phasespace.wigner_of(state))
-    return measure_char_quadrature(phasespace.char_of(state) if dense else state,
-                                   radial_cut=None)
+    return measure_char_quadrature(phasespace.char_of(state) if dense else state)

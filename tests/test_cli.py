@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -186,6 +187,17 @@ def test_readme_quick_start_commands_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_readme_python_blocks_run(capsys):
+    # the blocks build on each other, so they share one namespace
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("3.9973")
 
 
 def test_cutoff_env_var_is_honored(capsys, monkeypatch):

@@ -219,6 +219,19 @@ def test_purity_rate_identity_on_thermal():
     assert resid[0] < 1e-6
 
 
+def test_evolve_and_residuals_check_positivity_once(monkeypatch):
+    state = catalog.make_scs(1.0, 12)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    traj = evolve(state, [0.0, 0.5])
+    purity_rate_residuals(state, [0.5])
+    assert len(calls) == 1
+    # each point's purity and occupation are those of its state
+    for p in traj:
+        assert p.purity == p.state.purity() and p.mean_n == p.state.mean_number()
+
+
 def test_evolve_rejects_unphysical_drift():
     # a state that is not positive blows the positivity monitor quickly
     data = np.eye(6) / 6.0

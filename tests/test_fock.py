@@ -1,6 +1,7 @@
 """Tests for the truncated Fock-space layer."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -76,7 +77,9 @@ def test_density_matrix_validation():
                                      [[1.0, np.nan], [np.nan, 1.0]],
                                      [[np.inf, 0.0], [0.0, 1.0]]])
 def test_density_matrix_refuses_entries_that_are_not_finite(entries):
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+    # refused before any arithmetic on them, so numpy emits no warning first
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="not finite"):
+        warnings.simplefilter("error")
         DensityMatrix(2, np.array(entries))
 
 

@@ -40,6 +40,13 @@ def test_coeff_must_be_hermitian_psd():
         ProductRankState([up, down], np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         ProductRankState([up, down], np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # the Hermiticity gate sits at 1e-12 of max|coeff|, the weight floor at -1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ProductRankState([up, down], np.array([[1.0, 2e-12], [0.0, 1.0]]))
+    ProductRankState([up, down], np.array([[1.0, 5e-13], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="negative weight"):
+        ProductRankState([up, down], np.diag([1.0, -2e-9]))
+    ProductRankState([up, down], np.diag([1.0, -5e-10]))
 
 
 def test_factor_dims_must_agree_per_mode():

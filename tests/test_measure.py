@@ -172,15 +172,11 @@ def test_quadrature_route_warns_when_panel_budget_runs_out():
     assert any("unconverged" in w for w in exc.value.partial.warnings)
 
 
-def test_quadrature_route_separable_product():
-    a = phasespace.char_of(catalog.make_coherent(0.8, 14))
-    b = phasespace.char_of(catalog.make_thermal(0.5, 18))
-    res = measure_char_quadrature([a, b], radial_cut=None)
-    pa = catalog.make_coherent(0.8, 14).purity()
-    pb = catalog.make_thermal(0.5, 18).purity()
-    ia = measure_char_quadrature(a, radial_cut=None).value
-    ib = measure_char_quadrature(b, radial_cut=None).value
-    assert res.value == pytest.approx(ia * pb + ib * pa, abs=1e-8)
+def test_quadrature_route_probes_its_cut_by_default():
+    # squeezed s = 1.5 reaches past r = 8, so a fixed cut there would truncate it
+    res = measure_char_quadrature(phasespace.char_of(catalog.make_squeezed(1.5)))
+    exact = catalog.gaussian_measure(*catalog.squeezed_char_params(1.5)).value
+    assert res.value == pytest.approx(exact, abs=1e-6)
 
 
 def test_wigner_grid_route_matches_operator():
@@ -266,6 +262,11 @@ def test_dispatcher_routes_and_ket_support():
     assert res.value == pytest.approx(catalog.gaussian_measure(3.0, 0.5).value, abs=1e-9)
     with pytest.raises(ValueError, match="operator route .* GaussianChar"):
         measure(catalog.GaussianChar(3.0, 0.5), "operator")
+    # a dense state reports its modes as a product-rank state does
+    two = DensityMatrix((2, 3), np.eye(6))
+    assert two.modes == 2
+    with pytest.raises(ValueError, match="single-mode form, not a DensityMatrix of 2 modes"):
+        measure(two, "char-quadrature")
 
 
 def test_dispatcher_rejects_unknown_route():
