@@ -17,14 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, ModeCutoffs, a_rho_adag, as_cutoffs, number_diagonal
+from .fock import (DensityMatrix, ModeCutoffs, a_rho_adag, as_cutoffs, number_diagonal,
+                   shift_weights)
 from .measure import measure_operator
 
 # smallest eigenvalue an input state to evolve may have
 POSITIVITY_FLOOR = -1e-9
-# bytes one batch of the channel holds at once: half for the damped states
-# of evolve and purity_rate_residuals, half for the powers of A
-_BATCH_BYTES = 2 ** 23
+# bytes of the damped states evolve and purity_rate_residuals read off one
+# series: 16 MiB holds all 15 stencil legs of a request up to dim 373
+_STACK_BYTES = 2 ** 24
+# bytes of the block of powers of A that _series_sum sums at once
+_BLOCK_BYTES = 2 ** 22
 # floats per column strip of the block products in _series_sum
 _STRIP = 2 ** 14
 # spacing h of the five-point stencil in purity_rate_residuals
@@ -40,23 +43,53 @@ def lindblad_rhs(rho: np.ndarray, cutoffs: ModeCutoffs) -> np.ndarray:
     return out
 
 
-def _powers(x: np.ndarray, cutoffs: ModeCutoffs):
-    """Yield A^k x / k! for k = 0, ..., K, with A = sum_m A_m, in the dtype of x.
+def _next_power(term: np.ndarray, k: int, shifts, out: np.ndarray,
+                scratch: np.ndarray) -> None:
+    """Write A term / k into out, one 2-D shift per mode.
 
-    A lowers the total occupation by one, so A^k vanishes past
-    K = sum_m (d_m - 1).  Each power costs one ``a_rho_adag`` call per mode
-    of more than one level.
+    Only out[:n-R, :n-R] is written, R the stride of ``shifts[0]``; out must
+    be zero outside it.  ``scratch`` holds the weighted shift of every mode
+    but the first before it is added.
     """
-    modes = [m for m, d in enumerate(cutoffs.cutoffs) if d > 1]
-    term = x
-    yield term
+    n = term.shape[0]
+    stride, weights = shifts[0]
+    head = out[:n - stride, :n - stride]
+    np.multiply(weights, term[stride:, stride:], out=head)
+    for stride, weights in shifts[1:]:
+        part = scratch[:(n - stride) ** 2].reshape(n - stride, n - stride)
+        np.multiply(weights, term[stride:, stride:], out=part)
+        out[:n - stride, :n - stride] += part
+    head *= 1.0 / k
+
+
+def _powers(x: np.ndarray, cutoffs: ModeCutoffs, ring: np.ndarray):
+    """Write A^k x / k! into ring[k % len(ring)] for k = 0, ..., K, yielding each k.
+
+    A = sum_m A_m lowers the total occupation by one, so A^k vanishes past
+    K = sum_m (d_m - 1).  ``ring`` is a zeroed stack of at least two matrices
+    of the shape and dtype of x.  Each power is one ``_next_power`` of the one
+    before: the weights of the shifts are built once for the series, and
+    nothing is allocated or zeroed per power, except that the rows and
+    columns no shift writes are cleared once in the slot x held.
+    """
+    ring[0] = x
+    yield 0
+    size = len(ring)
+    # smallest stride first: its block [:n-R, :n-R] holds those of the others
+    shifts = [shift_weights(cutoffs, m) for m in reversed(range(cutoffs.modes))
+              if cutoffs.cutoffs[m] > 1]
+    if not shifts:
+        return
+    n = x.shape[0]
+    edge = n - shifts[0][0]
+    scratch = np.empty((n - shifts[1][0]) ** 2 if len(shifts) > 1 else 0, dtype=x.dtype)
     for k in range(1, sum(cutoffs.cutoffs) - cutoffs.modes + 1):
-        nxt = a_rho_adag(term, cutoffs, modes[0])
-        for m in modes[1:]:
-            nxt += a_rho_adag(term, cutoffs, m)
-        nxt *= 1.0 / k
-        term = nxt
-        yield term
+        out = ring[k % size]
+        if k == size:
+            out[edge:] = 0.0
+            out[:edge, edge:] = 0.0
+        _next_power(ring[(k - 1) % size], k, shifts, out, scratch)
+        yield k
 
 
 def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
@@ -64,25 +97,28 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
     """Write the channel applied to x for each tau of the 1-D ``taus`` into out.
 
     x is a C-contiguous real or complex matrix and out a C-contiguous stack
-    of len(taus) matrices of its dtype.  The powers of A are summed a block
-    at a time, each block as real matrix products over column strips, so no
+    of len(taus) matrices of its dtype.  ``_powers`` writes the powers of A
+    straight into a block of at most ``_BLOCK_BYTES``, and each full block is
+    summed into out as real matrix products over column strips, so no
     temporary outgrows a strip.
     """
     size = sum(cutoffs.cutoffs) - cutoffs.modes + 1
     coef = (-np.expm1(-taus))[:, None] ** np.arange(size)  # (1 - eta)^k
-    per = max(1, min(size, _BATCH_BYTES // (2 * x.nbytes)))
-    block = np.empty((per,) + x.shape, dtype=x.dtype)
-    flat_block = block.reshape(per, -1).view(np.float64)
+    per = max(1, min(size, _BLOCK_BYTES // x.nbytes))
+    # one more slot when a block holds a single power, since each power is
+    # computed from the one before
+    ring = np.zeros((max(per, 2),) + x.shape, dtype=x.dtype)
+    flat_ring = ring.reshape(len(ring), -1).view(np.float64)
     flat_out = out.reshape(taus.size, -1).view(np.float64)
     flat_out[:] = 0.0
-    for k, term in enumerate(_powers(x, cutoffs)):
+    for k in _powers(x, cutoffs, ring):
         j = k % per
-        block[j] = term
         if j == per - 1 or k == size - 1:
             w = coef[:, k - j:k + 1]
+            slot = k % len(ring)
             for c0 in range(0, flat_out.shape[1], _STRIP):
                 cols = slice(c0, c0 + _STRIP)
-                flat_out[:, cols] += w @ flat_block[:j + 1, cols]
+                flat_out[:, cols] += w @ flat_ring[slot - j:slot + 1, cols]
     s = np.exp(-0.5 * taus[:, None] * number_diagonal(cutoffs))
     out *= s[:, :, None]
     out *= s[:, None, :]
@@ -94,11 +130,11 @@ def damp(rho: np.ndarray, cutoffs: ModeCutoffs, tau) -> np.ndarray:
 
     A = sum_m A_m is nilpotent on the truncated space, so exp[(1 - eta) A] is
     the finite sum over k <= K = sum_m (d_m - 1) of (1 - eta)^k A^k / k!.  The
-    terms A^k rho / k! do not depend on tau: one series of K powers, K calls
-    to ``a_rho_adag`` per mode, serves every tau, and each tau only weighs
-    and adds them.  Any real tau is allowed; a negative one gives the exact
-    inverse map.  A scalar tau returns the dim x dim matrix, an array of taus
-    the stack of shape ``tau.shape + (dim, dim)``.
+    terms A^k rho / k! do not depend on tau: one series of K powers, each a
+    2-D shift of the one before per mode, serves every tau, and each tau
+    only weighs and adds them.  Any real tau is allowed; a negative one
+    gives the exact inverse map.  A scalar tau returns the dim x dim matrix,
+    an array of taus the stack of shape ``tau.shape + (dim, dim)``.
     """
     cut = as_cutoffs(cutoffs)
     taus = np.asarray(tau, dtype=float)
@@ -117,12 +153,14 @@ def _packed_batches(state: DensityMatrix, times: np.ndarray):
     the same part of the image: one real series does the work of the complex
     one, at half the memory and arithmetic.  The sum of squares of a packed
     state is its purity.  The times go in even batches whose stack stays
-    within half of ``_BATCH_BYTES``, each read off one series into the
-    same buffer: a stack is only good until the next one is asked for.
+    within ``_STACK_BYTES``, each read off one series into the same buffer:
+    a stack is only good until the next one is asked for.  The stack has its
+    own budget, apart from the block of powers, so that one series serves
+    every time of a request up to the dimension that budget names.
     """
     data = state.data
     x = data.real + data.imag
-    per = max(1, _BATCH_BYTES // (2 * x.nbytes))
+    per = max(1, _STACK_BYTES // x.nbytes)
     chunks = np.array_split(times, -(-times.size // per))
     buffer = np.empty((len(chunks[0]),) + x.shape)
     start = 0

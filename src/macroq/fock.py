@@ -8,6 +8,7 @@ of per-mode operators acts on the flat index returned by ``ModeCutoffs.index_of`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,26 +279,39 @@ def mode_view(rho: np.ndarray, cutoffs, mode: int) -> np.ndarray:
         raise ValueError("mode_view needs a C-contiguous array")
     dims = as_cutoffs(cutoffs).cutoffs
     d = dims[mode]
-    left, right = int(np.prod(dims[:mode])), int(np.prod(dims[mode + 1:]))
+    left, right = math.prod(dims[:mode]), math.prod(dims[mode + 1:])
     return rho.reshape(left, d, right, left, d, right)
 
 
+def shift_weights(cutoffs, mode: int) -> tuple[int, np.ndarray]:
+    """The stride R and the weights W that write a_m rho a_m^dag as one 2-D shift.
+
+    Raising mode m by one level adds R = d_{m+1} ... d_{M-1} to the flat
+    index, so (a_m rho a_m^dag)[:n-R, :n-R] = W * rho[R:, R:] and the rest
+    is zero.  W is the outer product of w_i = sqrt(level_m(i) + 1), with w
+    zeroed on the top level of mode m, where the shift wraps into the next
+    block of the modes before it.  W holds (n - R)^2 floats.
+    """
+    dims = as_cutoffs(cutoffs).cutoffs
+    d = dims[mode]
+    stride = math.prod(dims[mode + 1:])
+    level = np.arange(math.prod(dims) - stride) // stride % d
+    w = np.where(level < d - 1, np.sqrt(level + 1.0), 0.0)
+    return stride, np.multiply.outer(w, w)
+
+
 def a_rho_adag(rho: np.ndarray, cutoffs, mode: int) -> np.ndarray:
-    """Compute a_m rho a_m^dag by index shifts, without building the operator.
+    """Compute a_m rho a_m^dag by the 2-D shift of ``shift_weights``.
 
     Entry (i, j) of mode m takes sqrt((i+1)(j+1)) rho[.., i+1, ..; .., j+1, ..]
-    and the top level is left empty.  Cost is O(dim^2) per call with no
-    intermediate copies, which keeps Lindblad evolution and the operator
-    route usable at four-digit dimensions.
+    and the top level is left empty.  The weights are built for each call;
+    a caller that applies the same shift many times builds them once.
     """
-    rho = np.ascontiguousarray(rho)
+    rho = np.asarray(rho)
+    stride, weights = shift_weights(cutoffs, mode)
     out = np.zeros(rho.shape, dtype=rho.dtype)
-    d = as_cutoffs(cutoffs).cutoffs[mode]
-    if d > 1:
-        w = np.sqrt(np.arange(1.0, d))
-        weight = (w[:, None] * w[None, :]).reshape(1, d - 1, 1, 1, d - 1, 1)
-        src = mode_view(rho, cutoffs, mode)[:, 1:, :, :, 1:, :]
-        np.multiply(src, weight, out=mode_view(out, cutoffs, mode)[:, :-1, :, :, :-1, :])
+    n = rho.shape[0] - stride
+    np.multiply(weights, rho[stride:, stride:], out=out[:n, :n])
     return out
 
 

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from macroq import catalog, dynamics
 from macroq.dynamics import damp, evolve, lindblad_rhs, purity_rate_residuals
-from macroq.fock import DensityMatrix, ModeCutoffs, as_cutoffs
+from macroq.fock import DensityMatrix, ModeCutoffs, annihilation_op, as_cutoffs
 from macroq.measure import measure_operator
 
 
@@ -116,6 +116,38 @@ def test_batched_damp_matches_scalar_calls_and_generator():
     assert np.abs(grid.reshape(4, d, d) - batch).max() < 1e-13
 
 
+def _explicit_channel(cut, tau):
+    """The loss channel on the row-major vec(rho), from ``annihilation_op`` alone."""
+    d = cut.dim
+    eye = np.eye(d)
+    gen = np.zeros((d * d, d * d), dtype=complex)
+    for m in range(cut.modes):
+        a = annihilation_op(cut, m)
+        n = a.conj().T @ a
+        gen += np.kron(a, a.conj()) - 0.5 * (np.kron(n, eye) + np.kron(eye, n.T))
+    return expm(tau * gen)
+
+
+@pytest.mark.parametrize("per", [1, 2, 6])
+def test_shift_series_with_a_one_level_middle_mode(monkeypatch, per):
+    # cutoffs (3, 1, 4): odd dims, modes 0 and 1 share the stride 4, K = 5;
+    # per powers to a block: per = 1 and 2 reuse the slot that held the input
+    cut = ModeCutoffs((3, 1, 4))
+    d = cut.dim
+    rho = _random_state(cut, 11).data
+    taus = np.array([-0.02, 0.0, 0.4, 1.5])
+    want = np.array([(_explicit_channel(cut, t) @ rho.ravel()).reshape(d, d) for t in taus])
+    for x, ref in ((rho, want), (rho.real + rho.imag, want.real + want.imag)):
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", per * x.nbytes)
+        out = np.empty((taus.size, d, d), dtype=x.dtype)
+        dynamics._series_sum(x, cut, taus, out)
+        assert np.abs(out - ref).max() < 1e-12
+    batch = damp(rho, cut, taus)
+    assert np.abs(batch - want).max() < 1e-12
+    for tau, got in zip(taus, batch):
+        assert np.abs(got - damp(rho, cut, tau)).max() < 1e-15
+
+
 def test_evolve_states_match_damp_on_a_complex_state():
     # evolve runs the series on the real packing Re rho + Im rho of the state
     state = _random_state(ModeCutoffs((4, 3)), 7)
@@ -127,24 +159,24 @@ def test_evolve_states_match_damp_on_a_complex_state():
 
 
 def test_damp_reads_every_time_off_one_series(monkeypatch):
-    # a two-mode 17 x 17 state: K = 32 powers of A, each one call per mode
+    # a two-mode 17 x 17 state: K = 32 powers of A, each one call of the kernel
     calls = []
-    real = dynamics.a_rho_adag
-    monkeypatch.setattr(dynamics, "a_rho_adag",
-                        lambda *args: calls.append(args[2]) or real(*args))
+    real = dynamics._next_power
+    monkeypatch.setattr(dynamics, "_next_power",
+                        lambda term, k, *args: calls.append(k) or real(term, k, *args))
     cut = ModeCutoffs((17, 17))
     cats = [catalog.make_scs(a, 17).data for a in (1.1, 1.2)]
     state = DensityMatrix(cut, np.kron(*cats))
-    series = 2 * 32
+    series = list(range(1, 33))
     damp(state.data, cut, np.linspace(0.0, 1.0, 15))
-    assert len(calls) == series
+    assert calls == series
     calls.clear()
     evolve(state, [0.25, 0.5, 1.0])
-    assert len(calls) == series
+    assert calls == series
     calls.clear()
-    # fifteen stencil times, in batches of at most five
+    # all fifteen stencil times off one series
     purity_rate_residuals(state, [0.25, 0.5, 1.0])
-    assert len(calls) % series == 0 and len(calls) <= 3 * series
+    assert calls == series
 
 
 def test_purity_rate_residuals_does_not_rerun_evolve(monkeypatch):
