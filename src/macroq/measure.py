@@ -287,10 +287,12 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
 def measure_wigner_grid(grid: phasespace.WignerGrid) -> MeasureResult:
     """Evaluate I from Wigner samples through the dual characteristic grid.
 
-    The transform is a dense two-sided DFT, spectrally accurate for states the
-    grid actually contains, hence the hard checks on normalization and
-    boundary leak (``WignerGrid.faults``).  err_estimate compares against a
-    half-resolution pass.
+    The transform (``phasespace._char_from_arrays``) is one real 2-D FFT of
+    period N - 1 along each axis, with the step taken from the axis span so
+    the dual grid sits on the FFT's exact lattice.  It is spectrally accurate
+    for states the grid actually contains, hence the hard checks on
+    normalization and boundary leak (``WignerGrid.faults``).  err_estimate
+    compares against a half-resolution pass.
     """
     dev, clip = grid.faults()
     if dev is not None:

@@ -311,6 +311,17 @@ def test_score_wigner_normalization_modes(tmp_path, capsys):
     assert rc == 1
 
 
+def test_score_wigner_refuses_infinite_axis(tmp_path, capsys):
+    path = tmp_path / "inf.wig"
+    rows = ["0 " * 15 + "0"] * 16
+    path.write_text("\n".join(["WIGNER-GRID v1", "x -inf inf 16", "p -3 3 16"] + rows) + "\n")
+    rc, out, err = run(capsys, "score-wigner", "--input", str(path),
+                       "--strict-normalization")
+    assert rc == 1
+    assert "NaN" not in out
+    assert "not finite" in json.loads(err)["message"]
+
+
 def test_score_wigner_missing_file(capsys):
     rc, out, err = run(capsys, "score-wigner", "--input", "/nonexistent/g.wig")
     assert rc == 1

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macroq import catalog
 from macroq.phasespace import (
@@ -190,11 +192,53 @@ def test_default_points_follow_fock_bandwidth():
 def test_wigner_samples_transform_to_the_dense_char():
     # the forward transform the grid route applies to Wigner samples lands on
     # Tr[rho D(xi)] over the whole dual grid, aliasing-free out to its edges
+    def gap(rho, xs, ps, values, every=1):
+        xi_r, xi_i, chi = _char_from_arrays(xs, ps, values)
+        assert chi.shape == (ps.size, xs.size)
+        exact = char_points(rho.data, xi_r[::every, None] + 1j * xi_i[None, ::every])
+        return np.abs(chi[::every, ::every] - exact).max()
+
     for rho in (catalog.make_coherent(0.9 - 0.6j, 30), catalog.make_scs(1.3, 35)):
         grid = wigner_of(rho, points=161)
-        xi_r, xi_i, chi = _char_from_arrays(grid.x.points, grid.p.points, grid.values)
-        exact = char_points(rho.data, xi_r[:, None] + 1j * xi_i[None, :])
-        assert np.abs(chi - exact).max() < 1e-12
+        assert gap(rho, grid.x.points, grid.p.points, grid.values) < 1e-12
+    # the bench's large cat on its default grid: 403 points, period 402 =
+    # 2 * 3 * 67; every other dual point, both edges included, quarters the
+    # cost of the char_points reference
+    rho = catalog.make_scs(2.95, 37)
+    grid = wigner_of(rho)
+    assert grid.x.n == grid.p.n == 403
+    assert gap(rho, grid.x.points, grid.p.points, grid.values, every=2) < 1e-12
+    # an even count, and the half-resolution slice the grid route scores
+    rho = catalog.make_coherent(0.9 - 0.6j, 30)
+    grid = wigner_of(rho, points=160)
+    xs, ps = grid.x.points, grid.p.points
+    assert gap(rho, xs, ps, grid.values) < 1e-12
+    assert gap(rho, xs[::2], ps[::2], grid.values[::2, ::2]) < 1e-12
+    # explicit axes with different counts and spans
+    rho = catalog.make_scs(1.3, 35)
+    grid = wigner_of(rho, x_axis=Axis(-6.0, 7.0, 150), p_axis=Axis(-7.5, 6.0, 181))
+    assert gap(rho, grid.x.points, grid.p.points, grid.values) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@example(nx=90, n_p=39, x0=-3.0, p0=2.0, x_span=7.0, p_span=11.0, seed=0)
+@given(nx=st.integers(16, 90), n_p=st.integers(16, 90),
+       x0=st.floats(-8.0, 8.0), p0=st.floats(-8.0, 8.0),
+       x_span=st.floats(2.0, 16.0), p_span=st.floats(2.0, 16.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_char_transform_matches_the_direct_double_sum(nx, n_p, x0, p0, x_span,
+                                                      p_span, seed):
+    # any real samples, any counts (periods N - 1 that are prime or twice a
+    # prime included), any spans: the FFT equals the double sum
+    # dx dp sum_jk W_jk e^{2i x_j xi_i} e^{-2i p_k xi_r} on its own dual grid
+    W = np.random.default_rng(seed).standard_normal((nx, n_p))
+    xs = np.linspace(x0, x0 + x_span, nx)
+    ps = np.linspace(p0, p0 + p_span, n_p)
+    xi_r, xi_i, chi = _char_from_arrays(xs, ps, W)
+    cell = x_span / (nx - 1) * p_span / (n_p - 1)
+    direct = cell * np.einsum("ai,ij,jb->ba", np.exp(2j * np.outer(xi_i, xs)), W,
+                              np.exp(-2j * np.outer(ps, xi_r)), optimize=True)
+    assert np.abs(chi - direct).max() <= 1e-12 * np.abs(W).sum() * cell
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
@@ -233,6 +277,22 @@ def test_load_wigner_rejects_truncated_data(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError):
         load_wigner(path)
+
+
+def test_load_wigner_rejects_non_finite_extent(tmp_path):
+    def write(x_line):
+        path = tmp_path / "wide.wig"
+        rows = ["0 " * 15 + "0"] * 16
+        path.write_text("\n".join(["WIGNER-GRID v1", x_line, "p -3 3 16"] + rows) + "\n")
+        return path
+
+    with pytest.raises(ValueError, match="not finite"):
+        load_wigner(write("x -inf inf 16"))
+    # finite bounds whose span overflows give a NaN integral, which is a
+    # deviation beyond the tolerance, not a pass
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="deviates"):
+        load_wigner(write("x -1e308 1e308 16"), strict_normalization=True)
 
 
 def test_load_wigner_normalization_policy(tmp_path):
