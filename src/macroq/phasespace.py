@@ -299,16 +299,35 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
 
     In quadrature units q = sqrt2 x, W(q, p) = (1/pi) int <q+y| rho |q-y>
     e^{-2ipy} dy, and W_alpha(x, p) = 2 W(sqrt2 x, sqrt2 p).  The q-lattice
-    has m points per x step and spans the state's support |q| <= S; the
-    bracket is gathered for every x at once along the lattice, from the
-    eigenvectors of rho in position space, and a real cos/sin sum in y maps
-    it onto the p axis.  The y-sum repeats W in p with period pi m / (2 dx),
-    so m is the least that keeps every copy of the support off the p axis.
-    Memory is O(N_x * N_u + N_u * N_p) for N_u lattice points.
+    has m points per x step and spans the state's support |q| <= S in N_u
+    points; the y-sum repeats W in p with period pi m / (2 dx), so m is the
+    least that keeps every copy of the support off the p axis.
+
+    The bracket sum_k lam_k v_k(q+y) conj v_k(q-y) comes from the
+    eigenpairs of the n x n block of rho that holds the state.  ``eigh`` is
+    backward stable, so each eigenvalue it returns is off by up to about
+    n eps max|lam|; a pair at or below that is round-off, not part of the
+    state, and is dropped (``numpy.linalg.matrix_rank``'s rule).  Each kept
+    pair costs a pass over the N_x x N_y bracket, N_y = ceil(N_u / 2)
+    offsets.  For x step i the offsets y = j h read the lattice at m i + j
+    and m i - j, a contiguous run each way, so every eigenvector is one
+    zero-padded column read through sliding windows: every m-th window for
+    q + y, the same windows reversed for q - y.  The padding stands for the
+    lattice past the support, and the Hermite functions are evaluated only
+    where some window reads.  An x step centred off the lattice reads only
+    padding, so its row of W is zero and is not computed.
+
+    A real sum over j >= 0 of Re(bracket) cos(c j p) + Im(bracket)
+    sin(c j p), c = 2 sqrt2 h, maps the bracket onto the p axis as one GEMM.
+    Its table e^{i c j p} is the product of two short tables, j = a J + b
+    with J = ceil(sqrt N_y): N_p (N_y / J + J) complex exponentials and one
+    complex multiply per entry.  The table is written in place as the
+    interleaved (cos, sin) pairs that face the bracket's (re, im) pairs, so
+    neither GEMM operand is copied.  Memory is O(N_x N_y + N_y N_p).
     """
     n = _significant_level(rho) + 1
     lam, vecs = np.linalg.eigh(rho[:n, :n])
-    keep = np.abs(lam) > _TRIM * np.abs(lam).max()
+    keep = np.abs(lam) > n * np.finfo(float).eps * np.abs(lam).max()
     lam, vecs = lam[keep], vecs[:, keep]
     support = np.sqrt(2.0 * n + 1.0) + _SUPPORT_MARGIN
     dx, ps = x_axis.step, p_axis.points
@@ -316,27 +335,42 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
     h = np.sqrt(2.0) * dx / m
     q0 = np.sqrt(2.0) * x_axis.start
     lo = int(np.floor((-support - q0) / h))
-    hi = int(np.ceil((support - q0) / h))
-    nu = hi - lo + 1
-    # <q|v> for every kept eigenvector, plus a zero row that stands for the
-    # lattice points past the support
-    psi = np.zeros((nu + 1, lam.size), dtype=complex)
-    psi[:nu] = _hermite_functions(n, q0 + h * np.arange(lo, hi + 1)).T @ vecs
-    j = np.arange((nu + 1) // 2)
-    centre = m * np.arange(x_axis.n)[:, None] - lo
-    up, down = centre + j, centre - j
-    outside = (up >= nu) | (down < 0)
-    up[outside] = nu
-    down[outside] = nu
-    bracket = np.zeros(up.shape, dtype=complex)
-    for weight, col in zip(lam, psi.T):
-        bracket += weight * col[up] * col[down].conj()
+    nu = int(np.ceil((support - q0) / h)) - lo + 1
+    ny = (nu + 1) // 2
+    # x step i is centred on lattice point m i - lo; a step centred off the
+    # lattice reads only zeros, so only rows i0 .. i1 - 1 of W are computed
+    i0 = min(x_axis.n, max(0, -(-lo // m)))
+    i1 = max(i0, min(x_axis.n, (nu - 1 + lo) // m + 1))
+    if i0 == i1:
+        return np.zeros((x_axis.n, ps.size))
+    rows = i1 - i0
+    # column t of psi is lattice point first + t (0 .. nu - 1 hold the
+    # support): every offset those rows read, with zeros past the support
+    first = m * i0 - lo + 1 - ny
+    size = m * (rows - 1) + 2 * ny - 1
+    a, b = max(0, first), min(nu, first + size)
+    psi = np.zeros((lam.size, size), dtype=complex)
+    psi[:, a - first:b - first] = vecs.T @ _hermite_functions(
+        n, q0 + h * np.arange(lo + a, lo + b))
+    windows = np.lib.stride_tricks.sliding_window_view
+    bracket = np.zeros((rows, ny), dtype=complex)
+    term = np.empty_like(bracket)
+    for up, down in zip(lam[:, None] * psi, psi.conj()):
+        np.multiply(windows(up, ny)[ny - 1::m], windows(down, ny)[:m * rows:m, ::-1], out=term)
+        bracket += term
     # <q-y|rho|q+y> is the conjugate of <q+y|rho|q-y>, so the y-sum folds
     # onto y >= 0 as twice the real part, with y = 0 counted once
-    arg = 2.0 * np.sqrt(2.0) * h * np.outer(j, ps)
-    fold = np.where(j == 0, 1.0, 2.0)[:, None]
-    basis = np.vstack([fold * np.cos(arg), fold * np.sin(arg)])
-    return (2.0 * h / np.pi) * (np.hstack([bracket.real, bracket.imag]) @ basis)
+    c = 2.0 * np.sqrt(2.0) * h
+    J = int(np.ceil(np.sqrt(ny)))
+    coarse = np.exp(1j * c * J * np.outer(ps, np.arange(-(-ny // J))))
+    fine = np.exp(1j * c * np.outer(ps, np.arange(J)))
+    phase = (coarse[:, :, None] * fine[:, None, :]).reshape(ps.size, -1)[:, :ny]
+    phase[:, 0] = 0.5
+    # the GEMM writes its rows of W in place, with no copy of the result
+    W = np.zeros((x_axis.n, ps.size))
+    np.matmul(bracket.view(float), phase.view(float).T, out=W[i0:i1])
+    W *= 4.0 * h / np.pi
+    return W
 
 
 def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,

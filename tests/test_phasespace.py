@@ -1,5 +1,6 @@
 """Characteristic functions, Wigner grids, transforms, and the text formats."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 
 from macroq import catalog
 from macroq.phasespace import (
+    _SUPPORT_MARGIN,
+    _TRIM,
     Axis,
     _hermite_functions,
     DenseChar,
     WignerGrid,
     _char_from_arrays,
+    _sample_wigner,
+    _significant_level,
     char_of,
     char_points,
     default_points,
@@ -137,6 +142,11 @@ ORACLE_STATES = {
 }
 
 
+@functools.cache
+def _oracle_data(name):
+    return ORACLE_STATES[name]().data
+
+
 def _oracle_gap(rho, grid, step=1):
     """max |wigner_of - wigner_points| over every step-th sample, relative to the peak."""
     ix = np.unique(np.r_[0:grid.x.n:step, grid.x.n - 1])
@@ -151,7 +161,7 @@ def test_wigner_of_matches_pointwise_oracle(name):
     # default grid (every 15th sample keeps the oracle cheap at dim 224)
     rho = ORACLE_STATES[name]()
     grid = wigner_of(rho)
-    assert _oracle_gap(rho, grid, step=15) <= 1e-12
+    assert _oracle_gap(rho, grid, step=15) <= 1e-13
 
 
 @pytest.mark.parametrize("x_axis, p_axis", [
@@ -167,7 +177,96 @@ def test_wigner_of_explicit_axes_match_pointwise_oracle(name, x_axis, p_axis):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         grid = wigner_of(rho, x_axis=x_axis, p_axis=p_axis)
-    assert _oracle_gap(rho, grid) <= 1e-12
+    assert _oracle_gap(rho, grid) <= 1e-13
+
+
+def _reference_sample_wigner(rho, x_axis, p_axis):
+    """The sampler as index-array gathers and full cos/sin tables: the
+    bracket for every x step and offset is read through explicit up and down
+    indices into the lattice, every eigenpair above 1e-16 of the largest is
+    kept, and the y-sum is one GEMM against stacked cos and sin tables."""
+    n = _significant_level(rho) + 1
+    lam, vecs = np.linalg.eigh(rho[:n, :n])
+    keep = np.abs(lam) > _TRIM * np.abs(lam).max()
+    lam, vecs = lam[keep], vecs[:, keep]
+    support = np.sqrt(2.0 * n + 1.0) + _SUPPORT_MARGIN
+    dx, ps = x_axis.step, p_axis.points
+    m = max(1, int(np.ceil((np.abs(ps).max() + support / np.sqrt(2.0)) * 2.0 * dx / np.pi)))
+    h = np.sqrt(2.0) * dx / m
+    q0 = np.sqrt(2.0) * x_axis.start
+    lo = int(np.floor((-support - q0) / h))
+    hi = int(np.ceil((support - q0) / h))
+    nu = hi - lo + 1
+    psi = np.zeros((nu + 1, lam.size), dtype=complex)
+    psi[:nu] = _hermite_functions(n, q0 + h * np.arange(lo, hi + 1)).T @ vecs
+    j = np.arange((nu + 1) // 2)
+    centre = m * np.arange(x_axis.n)[:, None] - lo
+    up, down = centre + j, centre - j
+    outside = (up >= nu) | (down < 0)
+    up[outside] = nu
+    down[outside] = nu
+    bracket = np.zeros(up.shape, dtype=complex)
+    for weight, col in zip(lam, psi.T):
+        bracket += weight * col[up] * col[down].conj()
+    arg = 2.0 * np.sqrt(2.0) * h * np.outer(j, ps)
+    fold = np.where(j == 0, 1.0, 2.0)[:, None]
+    basis = np.vstack([fold * np.cos(arg), fold * np.sin(arg)])
+    return (2.0 * h / np.pi) * (np.hstack([bracket.real, bracket.imag]) @ basis)
+
+
+# |W| <= 2 / pi, so the bound is absolute; the sampler reorders the
+# reference's arithmetic and meets it to a few 1e-15
+SAMPLER_TOL = 1e-13
+
+SAMPLER_AXES = {
+    "coarse": (Axis(-4.0, 4.0, 21), Axis(-4.0, 4.0, 21)),
+    "offset": (Axis(-2.5, 5.5, 41), Axis(-6.0, 3.0, 33)),
+    "mixed": (Axis(-3.0, 3.0, 17), Axis(-7.0, 7.0, 201)),
+    "wider-than-support": (Axis(-40.0, 3.0, 64), Axis(-5.0, 5.0, 64)),
+    "coarse-wide": (Axis(-60.0, 60.0, 300), Axis(-60.0, 60.0, 300)),
+    "past-the-support": (Axis(25.0, 40.0, 16), Axis(-5.0, 5.0, 16)),
+    "off-support": (Axis(1.0, 2.0, 16), Axis(-1.0, 30.0, 90)),
+}
+SAMPLER_CASES = (
+    [(name, "default") for name in ORACLE_STATES]
+    + [(name, axes) for name in ("coherent", "cat3", "squeezed1.5")
+       for axes in SAMPLER_AXES if axes != "off-support"]
+    + [("squeezed1.5", "off-support")]
+)
+
+
+def _sampler_gap(rho, x_axis, p_axis):
+    return np.abs(_sample_wigner(rho, x_axis, p_axis)
+                  - _reference_sample_wigner(rho, x_axis, p_axis)).max()
+
+
+@pytest.mark.parametrize("name, axes", SAMPLER_CASES,
+                         ids=[f"{name}-{axes}" for name, axes in SAMPLER_CASES])
+def test_sampler_matches_the_gather_reference(name, axes):
+    # window views, the rank eigh resolves and the split phase tables against
+    # the index-array formulation, on default grids, on windows wider than
+    # the support, off it or past it, and on coarse and mixed axes
+    state = ORACLE_STATES[name]()
+    x_axis, p_axis = (wigner_of(state).x,) * 2 if axes == "default" else SAMPLER_AXES[axes]
+    assert _sampler_gap(state.data, x_axis, p_axis) <= SAMPLER_TOL
+
+
+def test_sampler_matches_the_gather_reference_on_the_bench_cat():
+    # the bench's large cat on its default grid, 399 points
+    state = catalog.make_scs(2.91, 37)
+    axis = wigner_of(state).x
+    assert axis.n == 399
+    assert _sampler_gap(state.data, axis, axis) <= SAMPLER_TOL
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(name=st.sampled_from(["coherent", "cat3", "decohered-cat", "thermal", "fock5"]),
+       x0=st.floats(-12.0, 12.0), x_span=st.floats(1.0, 40.0), nx=st.integers(16, 80),
+       p0=st.floats(-12.0, 12.0), p_span=st.floats(1.0, 40.0), n_p=st.integers(16, 80))
+def test_sampler_matches_the_gather_reference_on_any_axes(name, x0, x_span, nx,
+                                                          p0, p_span, n_p):
+    x_axis, p_axis = Axis(x0, x0 + x_span, nx), Axis(p0, p0 + p_span, n_p)
+    assert _sampler_gap(_oracle_data(name), x_axis, p_axis) <= SAMPLER_TOL
 
 
 def test_default_points_follow_fock_bandwidth():
