@@ -256,6 +256,18 @@ def _significant_level(rho: np.ndarray) -> int:
     return int(np.nonzero(row > _TRIM * row.max())[0][-1])
 
 
+def _smooth_at_least(n: int) -> int:
+    """The least integer >= n with no prime factor above 7."""
+    while True:
+        rest = n
+        for f in (2, 3, 5, 7):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return n
+        n += 1
+
+
 def default_points(state: DensityMatrix, half_width: float) -> int:
     """Points per axis of the default grid on [-half_width, half_width].
 
@@ -264,11 +276,14 @@ def default_points(state: DensityMatrix, half_width: float) -> int:
     |xi| = sqrt(4 n + 2), the turning point of its Laguerre factor, and decays
     past it; the step puts the edge _CHI_DECAY beyond that for the state's
     highest significant level.  The count is odd, so the origin is a sample,
-    and at least 201.
+    and at least 201.  It is then raised to the least odd count N whose half
+    period (N - 1) / 2 has no prime factor above 7: the grid route's FFTs run
+    at periods N - 1 and, on every other sample, (N - 1) / 2, and a large
+    prime factor in either slows them two- to three-fold.
     """
     edge = np.sqrt(4.0 * _significant_level(state.data) + 2.0) + _CHI_DECAY
     n = max(_MIN_POINTS, int(np.ceil(4.0 * half_width * edge / np.pi)) + 1)
-    return n + (n % 2 == 0)
+    return 2 * _smooth_at_least(n // 2) + 1
 
 
 def _hermite_functions(n: int, u: np.ndarray) -> np.ndarray:
@@ -307,12 +322,15 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
     eigenpairs of the n x n block of rho that holds the state.  ``eigh`` is
     backward stable, so each eigenvalue it returns is off by up to about
     n eps max|lam|; a pair at or below that is round-off, not part of the
-    state, and is dropped (``numpy.linalg.matrix_rank``'s rule).  Each kept
-    pair costs a pass over the N_x x N_y bracket, N_y = ceil(N_u / 2)
-    offsets.  For x step i the offsets y = j h read the lattice at m i + j
-    and m i - j, a contiguous run each way, so every eigenvector is one
-    zero-padded column read through sliding windows: every m-th window for
-    q + y, the same windows reversed for q - y.  The padding stands for the
+    state, and is dropped (``numpy.linalg.matrix_rank``'s rule).  By the same
+    rule an imaginary part of the block within n eps max|rho| is round-off:
+    such a block is taken as real symmetric, its eigenvectors and the
+    bracket are real, and half of the work below drops out.  Each kept pair
+    costs a pass over the N_x x N_y bracket, N_y = ceil(N_u / 2) offsets.
+    For x step i the offsets y = j h read the lattice at m i + j and m i - j,
+    a contiguous run each way, so every eigenvector is one zero-padded
+    column read through sliding windows: every m-th window for q + y, the
+    same windows reversed for q - y.  The padding stands for the
     lattice past the support, and the Hermite functions are evaluated only
     where some window reads.  An x step centred off the lattice reads only
     padding, so its row of W is zero and is not computed.
@@ -323,11 +341,16 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
     with J = ceil(sqrt N_y): N_p (N_y / J + J) complex exponentials and one
     complex multiply per entry.  The table is written in place as the
     interleaved (cos, sin) pairs that face the bracket's (re, im) pairs, so
-    neither GEMM operand is copied.  Memory is O(N_x N_y + N_y N_p).
+    neither GEMM operand is copied; a real bracket meets a copy of the cos
+    half alone, in a GEMM of half the size.  Memory is
+    O(N_x N_y + N_y N_p).
     """
     n = _significant_level(rho) + 1
-    lam, vecs = np.linalg.eigh(rho[:n, :n])
-    keep = np.abs(lam) > n * np.finfo(float).eps * np.abs(lam).max()
+    block = rho[:n, :n]
+    resolution = n * np.finfo(float).eps
+    real = np.abs(block.imag).max() <= resolution * np.abs(block).max()
+    lam, vecs = np.linalg.eigh(block.real if real else block)
+    keep = np.abs(lam) > resolution * np.abs(lam).max()
     lam, vecs = lam[keep], vecs[:, keep]
     support = np.sqrt(2.0 * n + 1.0) + _SUPPORT_MARGIN
     dx, ps = x_axis.step, p_axis.points
@@ -349,11 +372,11 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
     first = m * i0 - lo + 1 - ny
     size = m * (rows - 1) + 2 * ny - 1
     a, b = max(0, first), min(nu, first + size)
-    psi = np.zeros((lam.size, size), dtype=complex)
+    psi = np.zeros((lam.size, size), dtype=vecs.dtype)
     psi[:, a - first:b - first] = vecs.T @ _hermite_functions(
         n, q0 + h * np.arange(lo + a, lo + b))
     windows = np.lib.stride_tricks.sliding_window_view
-    bracket = np.zeros((rows, ny), dtype=complex)
+    bracket = np.zeros((rows, ny), dtype=psi.dtype)
     term = np.empty_like(bracket)
     for up, down in zip(lam[:, None] * psi, psi.conj()):
         np.multiply(windows(up, ny)[ny - 1::m], windows(down, ny)[:m * rows:m, ::-1], out=term)
@@ -368,7 +391,8 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
     phase[:, 0] = 0.5
     # the GEMM writes its rows of W in place, with no copy of the result
     W = np.zeros((x_axis.n, ps.size))
-    np.matmul(bracket.view(float), phase.view(float).T, out=W[i0:i1])
+    table = np.ascontiguousarray(phase.real) if real else phase.view(float)
+    np.matmul(bracket.view(float), table.T, out=W[i0:i1])
     W *= 4.0 * h / np.pi
     return W
 
@@ -405,51 +429,6 @@ def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
         warnings.warn(f"Wigner grid norm {grid.norm():.6f} deviates from 1",
                       RuntimeWarning, stacklevel=2)
     return grid
-
-
-# ---------------------------------------------------------------------------
-# transform of Wigner samples to the dual chi grid
-
-def _char_from_arrays(xs, ps, W):
-    """Transform Wigner samples to the dual chi grid with one real 2-D FFT.
-
-    Returns (xi_r, xi_i, chi) with chi indexed [xi_r, xi_i] and
-    chi(xi) = dx dp sum_jk W(x_j, p_k) e^{2i (x_j xi_i - p_k xi_r)}.  Each
-    dual axis spans +-pi / (2 step) in as many points as its sample axis, so
-    its spacing pi / ((N - 1) step) turns the kernel into
-    (-1)^j e^{+-2 pi i j a / (N - 1)} times one phase per output point: a DFT
-    of period N - 1, in which sample N - 1 is sample 0 again and output
-    N - 1 is output 0.  W is real, so the rows past xi_r = 0 follow from
-    chi(-xi) = conj chi(xi).  Cost O(N^2 log N) for any N, whatever the
-    factors of N - 1.
-
-    Each step is the axis span over N - 1, not x[1] - x[0]: the FFT puts the
-    samples on the exact lattice, and the rounding of a single difference
-    would skew the dual grid against it by about 1e-12 of chi on 400-point
-    grids.
-    """
-    nx, n_p = xs.size, ps.size
-    lx, lp = nx - 1, n_p - 1
-    dx = (xs[-1] - xs[0]) / lx
-    dp = (ps[-1] - ps[0]) / lp
-    xi_r = np.linspace(-np.pi / (2 * dp), np.pi / (2 * dp), n_p)
-    xi_i = np.linspace(-np.pi / (2 * dx), np.pi / (2 * dx), nx)
-    # the dual edge at -pi / (2 step) alternates the sign of the samples
-    signs = np.outer(1 - 2 * (np.arange(nx) % 2), 1 - 2 * (np.arange(n_p) % 2))
-    s = np.asarray(W, dtype=float) * signs
-    period = s[:lx, :lp].copy()
-    period[0] += s[lx, :lp]
-    period[:, 0] += s[:lx, lp]
-    period[0, 0] += s[lx, lp]
-    # rfft2 gives the p frequencies 0 .. lp // 2, the rows up to xi_r = 0; the
-    # x kernel carries e^{+2 pi i j a / lx}, so column a reads frequency -a
-    half = lp // 2 + 1
-    chi = np.empty((n_p, nx), dtype=complex)
-    chi[:half] = np.fft.rfft2(period)[-np.arange(nx) % lx].T
-    chi[:half] *= np.outer(np.exp(-2j * ps[0] * xi_r[:half]) * (dx * dp),
-                           np.exp(2j * xs[0] * xi_i))
-    chi[half:] = chi[n_p - 1 - half::-1, ::-1].conj()
-    return xi_r, xi_i, chi
 
 
 def fringe_frequency(grid: WignerGrid) -> float:

@@ -9,14 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macroq import catalog
+from macroq.measure import _power_score, measure_wigner_grid
 from macroq.phasespace import (
+    _CHI_DECAY,
+    _MIN_POINTS,
     _SUPPORT_MARGIN,
     _TRIM,
     Axis,
     _hermite_functions,
     DenseChar,
     WignerGrid,
-    _char_from_arrays,
     _sample_wigner,
     _significant_level,
     char_of,
@@ -139,6 +141,9 @@ ORACLE_STATES = {
     "thermal": lambda: catalog.make_thermal(1.0, 40),
     "fock5": lambda: catalog.make_fock(5, 12),
     "coherent": lambda: catalog.make_coherent(0.9 - 0.6j, 30),
+    # complex amplitudes give a complex rho, which the sampler does not read
+    # as a real one
+    "complex-cat": lambda: catalog.make_scs(2.0 * np.exp(0.25j * np.pi)),
 }
 
 
@@ -214,6 +219,55 @@ def _reference_sample_wigner(rho, x_axis, p_axis):
     return (2.0 * h / np.pi) * (np.hstack([bracket.real, bracket.imag]) @ basis)
 
 
+def _char_from_arrays(xs, ps, W):
+    """Transform Wigner samples to the dual chi grid with one real 2-D FFT.
+
+    Returns (xi_r, xi_i, chi) with chi indexed [xi_r, xi_i] and
+    chi(xi) = dx dp sum_jk W(x_j, p_k) e^{2i (x_j xi_i - p_k xi_r)}.  Each
+    dual axis spans +-pi / (2 step) in as many points as its sample axis, so
+    its spacing pi / ((N - 1) step) turns the kernel into
+    (-1)^j e^{+-2 pi i j a / (N - 1)} times one phase per output point: a DFT
+    of period N - 1, in which sample N - 1 is sample 0 again and output
+    N - 1 is output 0.  W is real, so the rows past xi_r = 0 follow from
+    chi(-xi) = conj chi(xi).  Each step is the axis span over N - 1, so the
+    dual grid sits on the FFT's exact lattice.  The grid route scores |chi|^2
+    without forming chi; this full transform is its reference.
+    """
+    nx, n_p = xs.size, ps.size
+    lx, lp = nx - 1, n_p - 1
+    dx = (xs[-1] - xs[0]) / lx
+    dp = (ps[-1] - ps[0]) / lp
+    xi_r = np.linspace(-np.pi / (2 * dp), np.pi / (2 * dp), n_p)
+    xi_i = np.linspace(-np.pi / (2 * dx), np.pi / (2 * dx), nx)
+    # the dual edge at -pi / (2 step) alternates the sign of the samples
+    signs = np.outer(1 - 2 * (np.arange(nx) % 2), 1 - 2 * (np.arange(n_p) % 2))
+    s = np.asarray(W, dtype=float) * signs
+    period = s[:lx, :lp].copy()
+    period[0] += s[lx, :lp]
+    period[:, 0] += s[:lx, lp]
+    period[0, 0] += s[lx, lp]
+    # rfft2 gives the p frequencies 0 .. lp // 2, the rows up to xi_r = 0; the
+    # x kernel carries e^{+2 pi i j a / lx}, so column a reads frequency -a
+    half = lp // 2 + 1
+    chi = np.empty((n_p, nx), dtype=complex)
+    chi[:half] = np.fft.rfft2(period)[-np.arange(nx) % lx].T
+    chi[:half] *= np.outer(np.exp(-2j * ps[0] * xi_r[:half]) * (dx * dp),
+                           np.exp(2j * xs[0] * xi_i))
+    chi[half:] = chi[n_p - 1 - half::-1, ::-1].conj()
+    return xi_r, xi_i, chi
+
+
+def _char_score(xs, ps, W):
+    """The grid route's sum (|xi|^2 - 1) |chi|^2 cell / (2 pi) over the full
+    dual chi grid, and the same sum of its magnitudes, which bounds its
+    rounding."""
+    xi_r, xi_i, chi = _char_from_arrays(xs, ps, W)
+    w2 = xi_r[:, None] ** 2 + xi_i[None, :] ** 2
+    cell = (xi_r[1] - xi_r[0]) * (xi_i[1] - xi_i[0]) / (2.0 * np.pi)
+    terms = (w2 - 1.0) * np.abs(chi) ** 2 * cell
+    return float(terms.sum()), float(np.abs(terms).sum())
+
+
 # |W| <= 2 / pi, so the bound is absolute; the sampler reorders the
 # reference's arithmetic and meets it to a few 1e-15
 SAMPLER_TOL = 1e-13
@@ -229,7 +283,7 @@ SAMPLER_AXES = {
 }
 SAMPLER_CASES = (
     [(name, "default") for name in ORACLE_STATES]
-    + [(name, axes) for name in ("coherent", "cat3", "squeezed1.5")
+    + [(name, axes) for name in ("coherent", "complex-cat", "cat3", "squeezed1.5")
        for axes in SAMPLER_AXES if axes != "off-support"]
     + [("squeezed1.5", "off-support")]
 )
@@ -252,15 +306,16 @@ def test_sampler_matches_the_gather_reference(name, axes):
 
 
 def test_sampler_matches_the_gather_reference_on_the_bench_cat():
-    # the bench's large cat on its default grid, 399 points
+    # the bench's large cat on its default grid, 401 points
     state = catalog.make_scs(2.91, 37)
     axis = wigner_of(state).x
-    assert axis.n == 399
+    assert axis.n == 401
     assert _sampler_gap(state.data, axis, axis) <= SAMPLER_TOL
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(name=st.sampled_from(["coherent", "cat3", "decohered-cat", "thermal", "fock5"]),
+@given(name=st.sampled_from(["coherent", "complex-cat", "cat3", "decohered-cat",
+                              "thermal", "fock5"]),
        x0=st.floats(-12.0, 12.0), x_span=st.floats(1.0, 40.0), nx=st.integers(16, 80),
        p0=st.floats(-12.0, 12.0), p_span=st.floats(1.0, 40.0), n_p=st.integers(16, 80))
 def test_sampler_matches_the_gather_reference_on_any_axes(name, x0, x_span, nx,
@@ -288,6 +343,37 @@ def test_default_points_follow_fock_bandwidth():
     assert grid.x.n == grid.p.n == default_points(rho, hw) > 201
 
 
+def _bandwidth_points(state, half_width):
+    """The default count before rounding: odd, at least _MIN_POINTS, with the
+    dual edge _CHI_DECAY past the turning point of the top Fock level."""
+    edge = np.sqrt(4.0 * _significant_level(state.data) + 2.0) + _CHI_DECAY
+    n = max(_MIN_POINTS, int(np.ceil(4.0 * half_width * edge / np.pi)) + 1)
+    return n + (n % 2 == 0)
+
+
+def _seven_smooth(n):
+    for f in (2, 3, 5, 7):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+def test_default_points_have_smooth_half_periods():
+    # the full- and half-resolution FFTs of the grid route run at periods
+    # N - 1 and (N - 1) / 2: the default count is the least odd one at or
+    # above the bandwidth count whose half period has no prime factor above 7
+    states = [catalog.make_scs(a, 37) for a in np.linspace(2.5, 3.5, 21)]
+    states += [catalog.make_fock(n, n + 2) for n in (0, 7, 30, 41, 60)]
+    for state in states:
+        hw = 4.3 * np.sqrt(2.0 * state.mean_number() + 1.0)
+        floor, count = _bandwidth_points(state, hw), default_points(state, hw)
+        assert count % 2 == 1 and _seven_smooth((count - 1) // 2)
+        assert count >= floor
+        assert not any(_seven_smooth((n - 1) // 2) for n in range(floor, count, 2))
+    # counts at the 201 floor do not move
+    assert default_points(catalog.make_fock(0, 2), 20.0) == 201
+
+
 def test_wigner_samples_transform_to_the_dense_char():
     # the forward transform the grid route applies to Wigner samples lands on
     # Tr[rho D(xi)] over the whole dual grid, aliasing-free out to its edges
@@ -300,12 +386,12 @@ def test_wigner_samples_transform_to_the_dense_char():
     for rho in (catalog.make_coherent(0.9 - 0.6j, 30), catalog.make_scs(1.3, 35)):
         grid = wigner_of(rho, points=161)
         assert gap(rho, grid.x.points, grid.p.points, grid.values) < 1e-12
-    # the bench's large cat on its default grid: 403 points, period 402 =
-    # 2 * 3 * 67; every other dual point, both edges included, quarters the
-    # cost of the char_points reference
+    # the bench's large cat on its default grid: 421 points, period 420 =
+    # 2^2 * 3 * 5 * 7; every other dual point, both edges included, quarters
+    # the cost of the char_points reference
     rho = catalog.make_scs(2.95, 37)
     grid = wigner_of(rho)
-    assert grid.x.n == grid.p.n == 403
+    assert grid.x.n == grid.p.n == 421
     assert gap(rho, grid.x.points, grid.p.points, grid.values, every=2) < 1e-12
     # an even count, and the half-resolution slice the grid route scores
     rho = catalog.make_coherent(0.9 - 0.6j, 30)
@@ -338,6 +424,68 @@ def test_char_transform_matches_the_direct_double_sum(nx, n_p, x0, p0, x_span,
     direct = cell * np.einsum("ai,ij,jb->ba", np.exp(2j * np.outer(xi_i, xs)), W,
                               np.exp(-2j * np.outer(ps, xi_r)), optimize=True)
     assert np.abs(chi - direct).max() <= 1e-12 * np.abs(W).sum() * cell
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@example(nx=18, n_p=16, x0=-3.0, p0=2.0, x_span=7.0, p_span=11.0, seed=0)
+@example(nx=90, n_p=84, x0=0.5, p0=-8.0, x_span=16.0, p_span=2.0, seed=1)
+@example(nx=75, n_p=23, x0=-8.0, p0=8.0, x_span=2.0, p_span=16.0, seed=2)
+@example(nx=16, n_p=61, x0=1.0, p0=-1.0, x_span=9.0, p_span=9.0, seed=3)
+@given(nx=st.integers(16, 90), n_p=st.integers(16, 90),
+       x0=st.floats(-8.0, 8.0), p0=st.floats(-8.0, 8.0),
+       x_span=st.floats(2.0, 16.0), p_span=st.floats(2.0, 16.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_power_score_matches_the_char_score(nx, n_p, x0, p0, x_span, p_span, seed):
+    # the grid route's power-spectrum score against the sum over the full
+    # complex chi grid, on any real samples, counts and spans; the examples
+    # take even counts and periods N - 1 that are prime (17, 89, 83) or
+    # twice a prime (74, 22)
+    W = np.random.default_rng(seed).standard_normal((nx, n_p))
+    xs = np.linspace(x0, x0 + x_span, nx)
+    ps = np.linspace(p0, p0 + p_span, n_p)
+    ref, scale = _char_score(xs, ps, W)
+    assert abs(_power_score(xs, ps, W) - ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("alpha", [2.91, 2.95])
+def test_power_score_matches_the_char_score_on_the_bench_cats(alpha):
+    # the bench's large cats on their default grids, and the every-other-
+    # sample grids of the half-resolution pass
+    grid = wigner_of(catalog.make_scs(alpha, 37))
+    xs, ps, W = grid.x.points, grid.p.points, grid.values
+    for sl in (slice(None), slice(None, None, 2)):
+        ref, scale = _char_score(xs[sl], ps[sl], W[sl, sl])
+        assert abs(_power_score(xs[sl], ps[sl], W[sl, sl]) - ref) <= 1e-13 * scale
+
+
+# the grid route's I on each oracle state's default grid, as the full
+# complex-chi transform scored it on the bandwidth counts before their half
+# periods were rounded to 7-smooth ones (squeezed1.5 607 points, now 631;
+# cat2 287, now 289; cat3 417, now 421; complex-cat 247, now 251; the
+# others 201)
+GRID_ROUTE_I = {
+    "squeezed1.5": 4.533830992222325,
+    "cat2": 3.9973171989563467,
+    "cat3": 8.999999725858936,
+    "decohered-cat": 0.15614138626432508,
+    "thermal": -0.11111111111131322,
+    "fock5": 4.9999999999999245,
+    "coherent": -5.0829897504197737e-17,
+    "complex-cat": 3.997317198947111,
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_STATES))
+def test_grid_route_keeps_its_value_on_oracle_states(name):
+    grid = wigner_of(ORACLE_STATES[name]())
+    result = measure_wigner_grid(grid)
+    assert abs(result.value - GRID_ROUTE_I[name]) <= 1e-12
+    # and on the same grid, the same value and half-resolution gap as the
+    # complex-chi sum
+    xs, ps, W = grid.x.points, grid.p.points, grid.values
+    full, half = _char_score(xs, ps, W)[0], _char_score(xs[::2], ps[::2], W[::2, ::2])[0]
+    assert abs(result.value - full) <= 1e-12
+    assert abs(result.err_estimate - abs(full - half)) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
