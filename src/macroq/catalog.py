@@ -1,7 +1,8 @@
 """Reference states and the closed-form values of I they admit.
 
-Dense constructors return :class:`fock.DensityMatrix`; many-mode entangled
-families return :class:`lowrank.ProductRankState`.  The closed-form helpers
+Every constructor returns a :class:`fock.DensityMatrix`: single-mode states
+in dense form, many-mode entangled families in product form, which the
+low-rank route measures at any mode count.  The closed-form helpers
 return full :class:`measure.MeasureResult` records so they slot into the same
 comparisons as the numeric routes.
 
@@ -22,7 +23,6 @@ from scipy.special import gammaln, i0e
 
 from .fock import (LEAK_TOL, DensityMatrix, ModeCutoffs, TruncationLeakError,
                    suggest_cutoff)
-from .lowrank import ProductRankState
 from .measure import MeasureResult
 
 _HARD_LEAK = 1e-2
@@ -216,17 +216,17 @@ def make_thermal_scs(V: float, d: float, cutoff: int | None = None) -> DensityMa
 
 
 # ---------------------------------------------------------------------------
-# many-mode low-rank states
+# many-mode product states
 
-def make_ghz(n_modes: int) -> ProductRankState:
+def make_ghz(n_modes: int) -> DensityMatrix:
     """(|0...0> + |1...1>) / sqrt(2) over n_modes two-level modes."""
     n_modes = int(n_modes)
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
-    return ProductRankState.superposition([[e0] * n_modes, [e1] * n_modes])
+    return DensityMatrix.superposition([[e0] * n_modes, [e1] * n_modes])
 
 
-def make_noon(n: int) -> ProductRankState:
+def make_noon(n: int) -> DensityMatrix:
     """(|n, 0> + |0, n>) / sqrt(2) on two modes."""
     n = int(n)
     if n < 1:
@@ -235,10 +235,10 @@ def make_noon(n: int) -> ProductRankState:
     top[n] = 1.0
     bottom = np.zeros(n + 1)
     bottom[0] = 1.0
-    return ProductRankState.superposition([[top, bottom], [bottom, top]])
+    return DensityMatrix.superposition([[top, bottom], [bottom, top]])
 
 
-def make_dur(n_modes: int, epsilon: float) -> ProductRankState:
+def make_dur(n_modes: int, epsilon: float) -> DensityMatrix:
     """Superposition of two nearly parallel product branches.
 
     Each branch is a product of qubit kets cos(eps/2)|0> +- sin(eps/2)|1>, so
@@ -248,7 +248,7 @@ def make_dur(n_modes: int, epsilon: float) -> ProductRankState:
     th = 0.5 * float(epsilon)
     u = np.array([np.cos(th), np.sin(th)])
     v = np.array([np.cos(th), -np.sin(th)])
-    return ProductRankState.superposition([[u] * n_modes, [v] * n_modes])
+    return DensityMatrix.superposition([[u] * n_modes, [v] * n_modes])
 
 
 def dur_exact(n_modes: int, epsilon: float) -> float:

@@ -1,9 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on numeric failure or a state that cannot take
-the requested route (a structured JSON message goes to stderr), 2 on usage
-errors argparse catches.  All numbers are printed with 12 significant digits
-and no locale dependence.
+Exit codes: 0 on success, 1 on numeric failure, a result that is not finite
+or a state that cannot take the requested route (a structured JSON message
+goes to stderr), 2 on usage errors argparse catches, among them a float flag
+that is nan or inf.  All numbers are printed with 12 significant digits and
+no locale dependence.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from . import catalog, dynamics, phasespace
 from .fock import (DensityMatrix, TruncationLeakError, apply_displacement,
                    apply_rotation, exchange_trace)
-from .lowrank import ProductRankState
 from .measure import (ConvergenceError, measure, measure_char_quadrature,
                       measure_operator, measure_wigner_grid)
 
@@ -37,7 +37,20 @@ def _sig12(x):
 
 
 def _emit_json(payload, stream=None):
-    print(json.dumps(_sig12(payload)), file=stream or sys.stdout)
+    # NaN and Infinity are not JSON: a non-finite result raises ValueError,
+    # which main reports as an error
+    print(json.dumps(_sig12(payload), allow_nan=False), file=stream or sys.stdout)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a number, and neither nan nor inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -96,16 +109,16 @@ STATES = {
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--state", required=True, choices=tuple(STATES))
     p.add_argument("--n", type=int, help="photon number (fock, noon)")
-    p.add_argument("--alpha", type=float, help="coherent amplitude")
-    p.add_argument("--tau", type=float, help="damping time (decohered-scs)")
-    p.add_argument("--s", type=float, help="squeezing parameter")
-    p.add_argument("--A", type=float, help="Gaussian width, real axis")
-    p.add_argument("--B", type=float, help="Gaussian width, imaginary axis")
-    p.add_argument("--nbar", type=float, help="thermal occupation")
-    p.add_argument("--V", type=float, help="thermal broadening (thermal-scs)")
-    p.add_argument("--d", type=float, help="branch displacement (thermal-scs)")
+    p.add_argument("--alpha", type=_finite_float, help="coherent amplitude")
+    p.add_argument("--tau", type=_finite_float, help="damping time (decohered-scs)")
+    p.add_argument("--s", type=_finite_float, help="squeezing parameter")
+    p.add_argument("--A", type=_finite_float, help="Gaussian width, real axis")
+    p.add_argument("--B", type=_finite_float, help="Gaussian width, imaginary axis")
+    p.add_argument("--nbar", type=_finite_float, help="thermal occupation")
+    p.add_argument("--V", type=_finite_float, help="thermal broadening (thermal-scs)")
+    p.add_argument("--d", type=_finite_float, help="branch displacement (thermal-scs)")
     p.add_argument("--n-modes", type=int, help="mode count (ghz, dur)")
-    p.add_argument("--epsilon", type=float, help="branch angle (dur)")
+    p.add_argument("--epsilon", type=_finite_float, help="branch angle (dur)")
     p.add_argument("--dim", type=int, help="dimension (maximally-mixed)")
     p.add_argument("--cutoff", type=int,
                    help="Fock cutoff; defaults to MACROQ_DEFAULT_CUTOFF or a "
@@ -137,9 +150,7 @@ def _state_args(parser, args) -> tuple[StateEntry, list, int | None]:
 
 
 def _dense(state) -> DensityMatrix:
-    """The Fock-space matrix of a built state, for the commands that need one."""
-    if isinstance(state, ProductRankState):
-        return state.to_dense()
+    """A built state, for the commands that need its Fock-space form."""
     if not isinstance(state, DensityMatrix):
         raise ValueError(f"a {type(state).__name__} has no Fock-space form")
     return state
@@ -214,13 +225,10 @@ def cmd_sweep(parser, args) -> int:
 
 def cmd_emit_wigner(parser, args) -> int:
     entry, values, cut = _state_args(parser, args)
-    state = entry.build(*values, cut)
-    # checked before _dense, which would expand a product-rank state first
-    modes = getattr(state, "modes", 1)
-    if modes > 1:
+    state = _dense(entry.build(*values, cut))
+    if state.modes > 1:
         raise ValueError(f"Wigner grids are single-mode, and state {args.state} "
-                         f"has {modes} modes")
-    state = _dense(state)
+                         f"has {state.modes} modes")
     axes = {}
     if args.half_width is not None:
         points = args.points
@@ -362,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(p)
     p.add_argument("--points", type=int,
                    help="points per axis (default: sized from the state's Fock bandwidth)")
-    p.add_argument("--half-width", type=float)
+    p.add_argument("--half-width", type=_finite_float)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_emit_wigner)
 
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="amplitude-damping trajectory as CSV")
     _add_state_flags(p)
-    p.add_argument("--t-max", type=float, default=1.0)
+    p.add_argument("--t-max", type=_finite_float, default=1.0)
     p.add_argument("--samples", type=int, default=11)
     p.add_argument("--output")
     p.set_defaults(func=cmd_evolve)
@@ -395,10 +403,12 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         payload = {"error": "convergence", "message": str(exc)}
         if exc.partial is not None:
-            payload["partial"] = exc.partial.as_dict()
+            # an error estimate with no bound is inf, which JSON cannot hold
+            payload["partial"] = {k: str(v) if isinstance(v, float) and not np.isfinite(v)
+                                  else v for k, v in exc.partial.as_dict().items()}
         _emit_json(payload, stream=sys.stderr)
         return 1
-    except (TruncationLeakError, ValueError, RuntimeError, OSError) as exc:
+    except (TruncationLeakError, ValueError, OverflowError, RuntimeError, OSError) as exc:
         _emit_json({"error": type(exc).__name__, "message": str(exc)},
                    stream=sys.stderr)
         return 1

@@ -1,7 +1,9 @@
 """Fock-space representation of bosonic states and operators.
 
-Everything here works on explicit numpy arrays over a truncated number basis:
-dense dim x dim matrices, or the dim x r factor of a low-rank state.
+Everything here works on explicit numpy arrays over a truncated number basis.
+One class, :class:`DensityMatrix`, holds every state: as a dense dim x dim
+matrix, or in product form as a few product kets per mode and their r x r
+coefficients, from which the dim x r factor and the matrix are built on demand.
 Multi-mode objects use the C-order (row-major) tensor convention, so the kron
 of per-mode operators acts on the flat index returned by ``ModeCutoffs.index_of``.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -36,7 +39,7 @@ class ModeCutoffs:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.cutoffs))
+        return math.prod(self.cutoffs)
 
     def index_of(self, occupations) -> int:
         """Flat index of the basis state |n_1, ..., n_M>."""
@@ -63,10 +66,13 @@ def suggest_cutoff(mean_n: float) -> int:
 
 _TILE = 256
 
-# largest dimension whose dense matrix a factored state builds on request
+# largest dimension whose dense matrix a product state builds on request
 MAX_DENSE_DIM = 4096
-# most entries (dim x rank) a product-rank state's factor V may hold
+# most entries (dim x rank) a product state's factor V may hold
 MAX_FACTOR_ENTRIES = 2 ** 22
+# smallest eigenvalue of a product state's coefficient matrix, relative to
+# its largest entry, that DensityMatrix.product accepts
+WEIGHT_FLOOR = -1e-9
 # max|rho - rho^H| relative to max|rho| that DensityMatrix accepts
 HERMITICITY_TOL = 1e-12
 # trace lost past the cutoff that apply_displacement refuses and the catalog
@@ -109,17 +115,18 @@ class DensityMatrix:
 
     A state has one of two forms.  ``DensityMatrix(cutoffs, data)`` takes a
     dense dim x dim matrix, checks that it is Hermitian and keeps its exactly
-    Hermitian part.  ``DensityMatrix.factored(cutoffs, V, C)`` keeps
-    rho = V C V^H, with V of shape (dim, r) and C an r x r Hermitian positive
-    matrix, as ``factors``; ``mean_number``, ``purity`` and the operator route
-    work on the factors in O(dim r^2).  The dense ``data`` of a factored state
-    is built on first read and cached, and raises ValueError above
-    ``MAX_DENSE_DIM``.
+    Hermitian part.  ``DensityMatrix.product(terms, coeff)`` keeps a rank-r
+    superposition or mixture of M-mode product kets as ``kets`` and
+    ``coeff``, which are None on a dense state.  A product state's
+    ``factors``, rho = V C V^H, are built from its kets on first read;
+    ``mean_number``, ``purity`` and the operator route work on them in
+    O(dim r^2).  Its dense ``data`` is built from the factors on first read
+    and cached, and raises ValueError above ``MAX_DENSE_DIM``.
     """
 
     def __init__(self, cutoffs, data):
         self.cutoffs = as_cutoffs(cutoffs)
-        self.factors = None
+        self.kets = self.coeff = None
         rho = np.asarray(data, dtype=complex)
         d = self.cutoffs.dim
         if rho.shape != (d, d):
@@ -139,36 +146,95 @@ class DensityMatrix:
         self._min_eigenvalue = None
 
     @classmethod
-    def factored(cls, cutoffs, V, C) -> DensityMatrix:
-        """The state V C V^H / Tr(C V^H V), without a dim x dim array.
+    def product(cls, terms, coeff) -> DensityMatrix:
+        """The state sum_ij coeff_ij |Psi_i><Psi_j| with |Psi_i> = tensor_m terms[i][m].
 
-        C must be Hermitian and positive semidefinite; only its Hermitian part
-        is kept, and nothing else is checked.  Only a state whose modes
-        exactly fill the declared Fock space may take this form, such as a
-        product-rank state: the operator route reports every factored state
-        as exact (err_estimate 0, no truncation warning), so a truncated
-        state built this way would get no error bar.
+        ``terms[i][m]`` is the (unnormalized) single-mode ket of term i in
+        mode m and ``coeff`` the r x r Hermitian positive matrix of term
+        weights.  Ket norms are folded into ``coeff`` and the whole scaled to
+        unit trace.  The normalized kets are kept as ``kets[m, i]``, an
+        (M, r, d_max) array zero padded past each mode's dimension, and the
+        cutoffs are those dimensions: the form spans exactly its declared
+        space, so the operator route reports it exact (err_estimate 0).
         """
-        self = cls.__new__(cls)
-        self.cutoffs = as_cutoffs(cutoffs)
-        V = np.asarray(V, dtype=complex)
-        C = np.asarray(C, dtype=complex)
-        r = C.shape[0]
-        if C.shape != (r, r) or V.shape != (self.cutoffs.dim, r):
-            raise ValueError(f"factors of shapes {V.shape} and {C.shape} do not "
-                             f"form a state of dimension {self.cutoffs.dim}")
-        C = 0.5 * (C + C.conj().T)
-        tr = _trace_product(C, V.conj().T @ V)
+        if not terms:
+            raise ValueError("need at least one product term")
+        r = len(terms)
+        coeff = np.asarray(coeff, dtype=complex)
+        if coeff.shape != (r, r):
+            raise ValueError(f"coeff shape {coeff.shape} does not match rank {r}")
+        if not np.isfinite(coeff).all():
+            raise ValueError("coefficient matrix has entries that are not finite")
+        scale, dev, coeff = _hermitian_part(coeff)
+        if dev > HERMITICITY_TOL * scale:
+            raise ValueError("coefficient matrix is not Hermitian")
+        low = float(np.linalg.eigvalsh(coeff)[0])
+        if low < WEIGHT_FLOOR * scale:
+            raise ValueError(f"coefficient matrix has negative weight {low:.3e}")
+
+        kets, dims = _stack_kets(terms)
+        if not np.isfinite(kets).all():
+            raise ValueError("product kets have entries that are not finite")
+        norms = np.linalg.norm(kets, axis=2)
+        if np.any(norms == 0.0):
+            raise ValueError("zero factor vector")
+        kets /= norms[:, :, None]
+        # each term's norm product, as a log sum shifted so the largest is 1:
+        # over thousands of modes the product itself leaves the float range
+        logs = np.log(norms).sum(axis=0)
+        scales = np.exp(logs - logs.max())
+        coeff = coeff * np.outer(scales, scales)
+        gram = np.prod(kets.conj() @ kets.transpose(0, 2, 1), axis=0)
+        tr = _trace_product(coeff, gram)
         if not tr > 0.0:
-            raise ValueError(f"trace {tr!r} is not positive")
-        self.factors = (V, C / tr)
+            raise ValueError(f"state trace {tr!r} is not positive")
+
+        self = cls.__new__(cls)
+        self.cutoffs = ModeCutoffs(dims)
+        self.kets, self.coeff = kets, coeff / tr
         self._data = None
         self._min_eigenvalue = None
         return self
 
+    @classmethod
+    def superposition(cls, terms, weights=None) -> DensityMatrix:
+        """Pure product-form state sum_i w_i |Psi_i>."""
+        r = len(terms)
+        w = np.ones(r, dtype=complex) if weights is None else np.asarray(weights, dtype=complex)
+        return cls.product(terms, np.outer(w, w.conj()))
+
+    @classmethod
+    def mixture(cls, terms, probs) -> DensityMatrix:
+        return cls.product(terms, np.diag(np.asarray(probs, dtype=float)))
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(V, C) with rho = V C V^H for a product state, None for a dense one.
+
+        Column i of V is the kron of term i's kets, so building it costs
+        O(dim r); V is refused above ``MAX_FACTOR_ENTRIES`` entries, before
+        any of it is built.
+        """
+        if self.kets is None:
+            return None
+        rank = self.coeff.shape[0]
+        entries = self.dim * rank
+        if entries > MAX_FACTOR_ENTRIES:
+            raise ValueError(f"factor of {entries} entries exceeds the "
+                             f"{MAX_FACTOR_ENTRIES} limit")
+        V = np.ones((1, rank), dtype=complex)
+        for u, d in zip(self.kets, self.cutoffs.cutoffs):
+            V = (V[:, None, :] * u[:, :d].T).reshape(-1, rank)
+        return V, self.coeff
+
+    def to_dense(self) -> DensityMatrix:
+        """The state itself: both forms are Fock-space states.  The benchmark's
+        ``manymode`` workload (``perfbench/workloads.py``) still calls this."""
+        return self
+
     @property
     def data(self) -> np.ndarray:
-        """The dense matrix; for a factored state, built on first read."""
+        """The dense matrix; for a product state, built on first read."""
         if self._data is None:
             if self.dim > MAX_DENSE_DIM:
                 raise ValueError(f"dense dimension {self.dim} exceeds the "
@@ -207,6 +273,29 @@ class DensityMatrix:
         if self._min_eigenvalue is None:
             self._min_eigenvalue = float(np.linalg.eigvalsh(self.data)[0])
         return self._min_eigenvalue
+
+
+def _stack_kets(terms) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The kets ``terms[i][m]`` as an (M, r, d_max) array, zero padded past
+    each mode's dimension, and those dimensions."""
+    modes = len(terms[0])
+    if modes == 0:
+        raise ValueError("terms must have at least one mode")
+    if any(len(term) != modes for term in terms):
+        raise ValueError("terms have different numbers of modes")
+    sizes = np.array([[len(u) for u in term] for term in terms])
+    clash = np.nonzero((sizes != sizes[0]).any(axis=0))[0]
+    if clash.size:
+        m = int(clash[0])
+        raise ValueError(f"mode {m} has inconsistent factor dimensions "
+                         f"{sorted(set(sizes[:, m].tolist()))}")
+    dims = sizes[0]
+    stacked = np.zeros((modes, len(terms), int(dims.max())), dtype=complex)
+    # C order of the masked entries is (mode, term, level): one scatter fills all
+    held = np.arange(stacked.shape[2]) < dims[:, None, None]
+    stacked[np.broadcast_to(held, stacked.shape)] = np.concatenate(
+        [term[m] for m in range(modes) for term in terms])
+    return stacked, tuple(int(d) for d in dims)
 
 
 def _trace_product(x: np.ndarray, y: np.ndarray) -> float:

@@ -59,12 +59,13 @@ class MeasureResult:
 def measure_operator(state: DensityMatrix) -> MeasureResult:
     """Evaluate I from the state's Fock-space form, by the route its form selects.
 
-    A factored state rho = V C V^H takes the Gram identities, O(modes dim r^2):
-    with G = V^H V, sum_m Tr(rho^2 n_m) = Tr(C G C V^H n V) for the total
-    number operator n, and Tr(a_m rho a_m^dag rho) = Tr(A C A^H C) with
-    A = V^H a_m V (``factored_exchange_trace``).  Its err_estimate is zero and
+    A product state, through its factors rho = V C V^H, takes the Gram
+    identities, O(modes dim r^2): with G = V^H V, sum_m Tr(rho^2 n_m) =
+    Tr(C G C V^H n V) for the total number operator n, and
+    Tr(a_m rho a_m^dag rho) = Tr(A C A^H C) with A = V^H a_m V
+    (``factored_exchange_trace``).  Its err_estimate is zero and
     it carries no truncation warning, since a and n map the declared space
-    into itself and the form stands for exactly that space.
+    into itself and the product form spans exactly that space.
 
     A dense state takes index shifts, O(modes dim^2), relying on the exactly
     Hermitian ``data`` that ``DensityMatrix`` guarantees: Tr(rho^2 n_m) is
@@ -371,30 +372,30 @@ def measure_wigner_grid(grid: phasespace.WignerGrid) -> MeasureResult:
 # dispatcher
 
 def measure(state, route: str | None = None) -> MeasureResult:
-    """Evaluate I by the named route, or by the one the state's type implies.
+    """Evaluate I by the named route, or by the one the state's form implies.
 
-    Without a route, a ``ProductRankState`` takes ``low-rank``, a
-    ``DensityMatrix`` takes ``operator`` and any other object, taken to be a
-    characteristic function (``GaussianChar``, ``ThermalSCSChar``,
-    ``DenseChar``), takes ``char-quadrature``.  A ``ProductRankState`` goes
-    through ``to_dense()``, its factored Fock-space form, for the other
-    routes.  ``char-quadrature`` wraps a ``DensityMatrix`` with ``char_of``
-    and lets the route probe for its radial cut; callers that need their own
-    cut or grid call the route functions directly.  A state that lacks the
-    form a route needs, and an unknown route, raise ValueError.
+    Without a route, a ``DensityMatrix`` in product form (one with ``kets``)
+    takes ``low-rank``, any other ``DensityMatrix`` takes ``operator`` and
+    any other object, taken to be a characteristic function
+    (``GaussianChar``, ``ThermalSCSChar``, ``DenseChar``), takes
+    ``char-quadrature``.  ``char-quadrature`` wraps a ``DensityMatrix`` with
+    ``char_of`` and lets the route probe for its radial cut; callers that
+    need their own cut or grid call the route functions directly.  A state
+    that lacks the form a route needs, and an unknown route, raise
+    ValueError.
     """
-    from .lowrank import ProductRankState, measure_lowrank  # lowrank imports this module
+    from .lowrank import measure_lowrank  # lowrank imports this module
 
-    lowrank = isinstance(state, ProductRankState)
-    dense = lowrank or isinstance(state, DensityMatrix)
+    dense = isinstance(state, DensityMatrix)
+    product = dense and state.kets is not None
     modes = getattr(state, "modes", 1)  # a characteristic function has one
     if route is None:
-        route = "low-rank" if lowrank else "operator" if dense else "char-quadrature"
+        route = "low-rank" if product else "operator" if dense else "char-quadrature"
     # whether the state has the form each route needs, and that form's name
     needs = {"operator": (dense, "a Fock-space form"),
              "char-quadrature": (modes == 1, "a single-mode form"),
              "wigner-grid": (dense and modes == 1, "a single-mode Fock-space form"),
-             "low-rank": (lowrank, "a product-rank form")}
+             "low-rank": (product, "a product form")}
     if route not in needs:
         raise ValueError(f"unknown route {route!r}; routes are {', '.join(needs)}")
     fits, form = needs[route]
@@ -404,8 +405,6 @@ def measure(state, route: str | None = None) -> MeasureResult:
                          f"not a {type(state).__name__}{shape}")
     if route == "low-rank":
         return measure_lowrank(state)
-    if lowrank:
-        state = state.to_dense()
     if route == "operator":
         return measure_operator(state)
     if route == "wigner-grid":

@@ -187,10 +187,9 @@ def test_dur_exact_degenerate_cases():
 def test_ghz_noon_constructors():
     ghz = catalog.make_ghz(6)
     assert ghz.coeff.shape == (2, 2)
-    assert ghz.rank == 2 and ghz.modes == 6
+    assert ghz.kets.shape == (6, 2, 2) and ghz.modes == 6
     noon = catalog.make_noon(4)
-    dense = noon.to_dense()
-    assert dense.mean_number() == pytest.approx(4.0)
+    assert noon.mean_number() == pytest.approx(4.0)
 
 
 def test_thermal_scs_grid_through_zero_amplitude():

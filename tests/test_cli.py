@@ -162,6 +162,41 @@ def test_route_state_mismatch_exits_1_and_usage_errors_exit_2(capsys, argv, code
         assert argv[-1] in payload["message"]  # names the route
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["measure", "--state", "thermal", "--nbar", "nan"], 2),
+    (["measure", "--state", "thermal", "--nbar", "inf"], 2),
+    (["measure", "--state", "gaussian", "--A", "nan", "--B", "1"], 2),
+    (["measure", "--state", "thermal-scs", "--V", "nan", "--d", "1"], 2),
+    (["measure", "--state", "decohered-scs", "--alpha", "1", "--tau", "nan"], 2),
+    (["measure", "--state", "mixture-scs", "--alpha", "inf"], 2),
+    (["measure", "--state", "dur", "--n-modes", "4", "--epsilon", "nan"], 2),
+    (["evolve", "--state", "fock", "--n", "1", "--t-max", "nan"], 2),
+    (["emit-wigner", "--state", "fock", "--n", "1", "--half-width", "inf",
+      "--output", "unwritten.wig"], 2),
+    (["measure", "--state", "thermal", "--nbar", "1e300"], 1),
+    (["measure", "--state", "decohered-scs", "--alpha", "1e200", "--tau", "1"], 1),
+    (["measure", "--state", "thermal-scs", "--V", "60", "--d", "16",
+      "--route", "char-quadrature"], 1),
+], ids=["nbar-nan", "nbar-inf", "A-nan", "V-nan", "tau-nan", "alpha-inf", "epsilon-nan",
+        "t-max-nan", "half-width-inf", "nan-result", "overflow", "unbounded-partial"])
+def test_non_finite_flags_exit_2_and_non_finite_results_exit_1(capsys, tmp_path,
+                                                                 monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    try:
+        rc, out, err = run(capsys, *argv)
+    except SystemExit as exc:
+        rc, (out, err) = exc.code, capsys.readouterr()
+    assert rc == code and out == ""
+    if code == 1:
+        # strict JSON: json.loads would otherwise take NaN and Infinity
+        payload = json.loads(err, parse_constant=_refuse_constant)
+        assert "error" in payload
+
+
 @pytest.mark.parametrize("argv", [
     ["--state", "ghz", "--n-modes", "3"],
     ["--state", "noon", "--n", "2"],

@@ -34,6 +34,12 @@ def test_cutoffs_indexing_round_trip():
         assert cuts.index_of(occ) == idx
 
 
+@pytest.mark.parametrize("d, modes", [(2, 63), (2, 64), (3, 41), (2, 2000)])
+def test_cutoffs_dim_does_not_wrap(d, modes):
+    # a fixed-width product wraps past 2^63; product states reach 2000 modes
+    assert ModeCutoffs((d,) * modes).dim == d ** modes
+
+
 def test_as_cutoffs_accepts_int_and_sequence():
     assert as_cutoffs(5).cutoffs == (5,)
     assert as_cutoffs([2, 3]).cutoffs == (2, 3)

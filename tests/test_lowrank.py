@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from macroq import catalog
-from macroq.fock import DensityMatrix, ModeCutoffs
-from macroq.lowrank import ProductRankState, measure_lowrank
+from macroq.fock import DensityMatrix
+from macroq.lowrank import measure_lowrank
 from macroq.measure import measure, measure_operator
 
 
@@ -16,55 +16,65 @@ def two_mode_branch(a0, a1, b0, b1):
 def test_superposition_bell_pair():
     up = two_mode_branch(1, 0, 1, 0)
     down = two_mode_branch(0, 1, 0, 1)
-    state = ProductRankState.superposition([up, down])
-    dense = state.to_dense()
+    state = DensityMatrix.superposition([up, down])
     vec = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    np.testing.assert_allclose(dense.data, np.outer(vec, vec), atol=1e-14)
+    np.testing.assert_allclose(state.data, np.outer(vec, vec), atol=1e-14)
 
 
 def test_mixture_probabilities():
     up = two_mode_branch(1, 0, 1, 0)
     down = two_mode_branch(0, 1, 0, 1)
-    state = ProductRankState.mixture([up, down], [0.25, 0.75])
-    dense = state.to_dense()
+    state = DensityMatrix.mixture([up, down], [0.25, 0.75])
     expected = np.zeros((4, 4))
     expected[0, 0] = 0.25
     expected[3, 3] = 0.75
-    np.testing.assert_allclose(dense.data, expected, atol=1e-14)
+    np.testing.assert_allclose(state.data, expected, atol=1e-14)
 
 
 def test_coeff_must_be_hermitian_psd():
     up = two_mode_branch(1, 0, 1, 0)
     down = two_mode_branch(0, 1, 0, 1)
     with pytest.raises(ValueError):
-        ProductRankState([up, down], np.array([[1.0, 1.0], [0.0, 1.0]]))
+        DensityMatrix.product([up, down], np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        ProductRankState([up, down], np.array([[1.0, 2.0], [2.0, 1.0]]))
+        DensityMatrix.product([up, down], np.array([[1.0, 2.0], [2.0, 1.0]]))
     # the Hermiticity gate sits at 1e-12 of max|coeff|, the weight floor at -1e-9
     with pytest.raises(ValueError, match="not Hermitian"):
-        ProductRankState([up, down], np.array([[1.0, 2e-12], [0.0, 1.0]]))
-    ProductRankState([up, down], np.array([[1.0, 5e-13], [0.0, 1.0]]))
+        DensityMatrix.product([up, down], np.array([[1.0, 2e-12], [0.0, 1.0]]))
+    DensityMatrix.product([up, down], np.array([[1.0, 5e-13], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="negative weight"):
-        ProductRankState([up, down], np.diag([1.0, -2e-9]))
-    ProductRankState([up, down], np.diag([1.0, -5e-10]))
+        DensityMatrix.product([up, down], np.diag([1.0, -2e-9]))
+    DensityMatrix.product([up, down], np.diag([1.0, -5e-10]))
+
+
+@pytest.mark.parametrize("ket, weight", [([np.nan, 1.0], 1.0), ([np.inf, 0.0], 1.0),
+                                         ([1.0, 0.0], np.nan), ([1.0, 0.0], np.inf)])
+def test_product_refuses_entries_that_are_not_finite(ket, weight):
+    up = [np.array(ket, dtype=complex), np.array([1.0, 0.0], dtype=complex)]
+    down = two_mode_branch(0, 1, 0, 1)
+    with pytest.raises(ValueError, match="not finite"):
+        DensityMatrix.product([up, down], np.diag([weight, 1.0]))
+    # else the low-rank route reads I = NaN with err_estimate 0
+    with pytest.raises(ValueError, match="not finite"):
+        catalog.make_dur(4, np.nan)
 
 
 def test_factor_dims_must_agree_per_mode():
     good = two_mode_branch(1, 0, 1, 0)
     bad = [np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])]
     with pytest.raises(ValueError):
-        ProductRankState.superposition([good, bad])
+        DensityMatrix.superposition([good, bad])
 
 
 def test_unnormalized_factors_are_folded_in():
     # scaling a branch must not change the normalized state
-    base = ProductRankState.superposition([two_mode_branch(1, 0, 1, 0),
-                                           two_mode_branch(0, 1, 0, 1)])
-    scaled = ProductRankState.superposition([two_mode_branch(3, 0, 3, 0),
-                                             two_mode_branch(0, 1, 0, 1)])
+    base = DensityMatrix.superposition([two_mode_branch(1, 0, 1, 0),
+                                        two_mode_branch(0, 1, 0, 1)])
+    scaled = DensityMatrix.superposition([two_mode_branch(3, 0, 3, 0),
+                                          two_mode_branch(0, 1, 0, 1)])
     # not the same state (weights shift), but both remain unit trace
     for st in (base, scaled):
-        assert st.to_dense().data.trace() == pytest.approx(1.0)
+        assert st.data.trace() == pytest.approx(1.0)
     r = measure_lowrank(scaled)
     assert 0.0 <= r.value <= r.mean_n + 1e-12
 
@@ -73,11 +83,10 @@ def test_unnormalized_factors_are_folded_in():
 def test_ghz_measure_matches_dense(n_modes):
     state = catalog.make_ghz(n_modes)
     low = measure_lowrank(state)
-    factored = state.to_dense()
     assert low.route == "low-rank"
     # the factored Gram route and the dense index-shift route
-    for dense in (measure_operator(factored),
-                  measure_operator(DensityMatrix(factored.cutoffs, factored.data))):
+    for dense in (measure_operator(state),
+                  measure_operator(DensityMatrix(state.cutoffs, state.data))):
         assert low.value == pytest.approx(dense.value, abs=1e-12)
         assert low.mean_n == pytest.approx(dense.mean_n, abs=1e-12)
         assert low.purity == pytest.approx(dense.purity, abs=1e-12)
@@ -93,7 +102,7 @@ def test_ghz_value_is_half_party_count():
 def test_many_mode_factor_norms_do_not_overflow(scale):
     # the per-term norm product, scale^1100, leaves the float range either way
     e0, e1 = np.array([scale, 0.0]), np.array([0.0, scale])
-    state = ProductRankState.superposition([[e0] * 1100, [e1] * 1100])
+    state = DensityMatrix.superposition([[e0] * 1100, [e1] * 1100])
     assert measure_lowrank(state).value == pytest.approx(550.0, abs=1e-9)
 
 
@@ -101,7 +110,7 @@ def test_many_mode_factor_norms_do_not_overflow(scale):
 def test_noon_measure_matches_dense(n):
     state = catalog.make_noon(n)
     low = measure_lowrank(state)
-    dense = measure_operator(state.to_dense())
+    dense = measure_operator(state)
     assert low.value == pytest.approx(dense.value, abs=1e-12)
     assert low.value == pytest.approx(float(n), abs=1e-12)
 
@@ -110,10 +119,9 @@ def test_noon_measure_matches_dense(n):
 def test_dur_measure_matches_dense(n_modes):
     state = catalog.make_dur(n_modes, 0.1)
     low = measure_lowrank(state)
-    factored = state.to_dense()
-    assert low.value == pytest.approx(measure_operator(factored).value, abs=1e-10)
+    assert low.value == pytest.approx(measure_operator(state).value, abs=1e-10)
     if n_modes <= 5:
-        dense = measure_operator(DensityMatrix(factored.cutoffs, factored.data))
+        dense = measure_operator(DensityMatrix(state.cutoffs, state.data))
         assert low.value == pytest.approx(dense.value, abs=1e-10)
 
 
@@ -129,16 +137,16 @@ def test_random_rank_three_product_state_matches_dense():
     terms = [[rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(modes)]
              for _ in range(rank)]
     w = rng.normal(size=rank) + 1j * rng.normal(size=rank)
-    state = ProductRankState.superposition(terms, weights=w)
+    state = DensityMatrix.superposition(terms, weights=w)
     low = measure_lowrank(state)
-    dense = measure_operator(state.to_dense())
+    dense = measure_operator(state)
     assert low.value == pytest.approx(dense.value, abs=1e-10)
     assert low.purity == pytest.approx(dense.purity, abs=1e-12)
 
 
 def test_to_dense_guards_dimension():
     # the factored form is built at any dimension; only the dense matrix refuses
-    dense = catalog.make_ghz(20).to_dense()
+    dense = catalog.make_ghz(20)
     assert dense.dim == 2 ** 20
     with pytest.raises(ValueError, match="exceeds the 4096 limit"):
         dense.data
@@ -147,24 +155,25 @@ def test_to_dense_guards_dimension():
 def test_to_dense_refuses_an_oversized_factor():
     # dim 2^40 x rank 2: refused before any of V is allocated
     with pytest.raises(ValueError, match="exceeds the 4194304 limit"):
-        catalog.make_ghz(40).to_dense()
+        catalog.make_ghz(40).factors
     with pytest.raises(ValueError, match="exceeds the 4194304 limit"):
         measure(catalog.make_ghz(30), "operator")
 
 
 def test_gram_diagonal_is_branch_norm():
     state = catalog.make_ghz(4)
-    g = state.gram()
+    V, _ = state.factors
+    g = V.conj().T @ V
     np.testing.assert_allclose(np.diag(g).real, 1.0, atol=1e-12)
     assert g.shape == (2, 2)
 
 
 def _random_factored(dims, rank, seed):
     rng = np.random.default_rng(seed)
-    cut = ModeCutoffs(dims)
-    V = rng.normal(size=(cut.dim, rank)) + 1j * rng.normal(size=(cut.dim, rank))
+    terms = [[rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+             for _ in range(rank)]
     g = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
-    return DensityMatrix.factored(cut, V, g @ g.conj().T)
+    return DensityMatrix.product(terms, g @ g.conj().T)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -198,10 +207,10 @@ def test_lowrank_pads_unequal_mode_dimensions():
     terms = [[rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
              for _ in range(rank)]
     g = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
-    state = ProductRankState(terms, g @ g.conj().T)
-    assert state.dims == dims and state.kets.shape == (4, rank, 5)
+    state = DensityMatrix.product(terms, g @ g.conj().T)
+    assert state.cutoffs.cutoffs == dims and state.kets.shape == (4, rank, 5)
     low = measure_lowrank(state)
-    dense = measure_operator(DensityMatrix(state.dims, state.to_dense().data))
+    dense = measure_operator(DensityMatrix(state.cutoffs, state.data))
     assert low.value == pytest.approx(dense.value, abs=1e-12)
     assert low.mean_n == pytest.approx(dense.mean_n, abs=1e-12)
     assert low.purity == pytest.approx(dense.purity, abs=1e-12)
@@ -210,7 +219,7 @@ def test_lowrank_pads_unequal_mode_dimensions():
 def test_operator_route_past_the_dense_limit():
     # dim 65536: the factored operator route never reads the dense matrix
     assert measure(catalog.make_ghz(16), "operator").value == pytest.approx(8.0, abs=1e-12)
-    dense = catalog.make_dur(16, 0.3).to_dense()
+    dense = catalog.make_dur(16, 0.3)
     res = measure_operator(dense)
     assert res.value == pytest.approx(catalog.dur_exact(16, 0.3), abs=1e-10)
     assert dense._data is None
