@@ -133,12 +133,20 @@ class DensityMatrix:
             raise ValueError(f"density matrix has shape {rho.shape}, expected {(d, d)}")
         if not np.isfinite(rho).all():
             raise ValueError("density matrix has entries that are not finite")
-        scale, dev, rho = _hermitian_part(rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale, dev, herm = _hermitian_part(rho)
+            if scale > np.finfo(float).max / 2:
+                # rho + rho^H may have overflowed: the state is that of rho / scale
+                _, dev, herm = _hermitian_part(rho / scale)
+                dev *= scale
+            tr = float(herm.trace().real)
+        rho = herm
         if scale == 0.0:
             raise ValueError("density matrix is zero")
         if dev > HERMITICITY_TOL * scale:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        tr = float(rho.trace().real)
+        if not np.isfinite(tr):
+            raise ValueError(f"trace {tr!r} is not finite")
         if not tr > 0.0:
             raise ValueError(f"trace {tr!r} is not positive")
         rho /= tr

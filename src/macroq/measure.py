@@ -14,6 +14,7 @@ which is what makes cross-checks between them meaningful.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,45 +241,119 @@ def _mean_n_from_char(chi) -> float:
     return (4.0 * e2 - e1) / 3.0
 
 
+def _laguerre_sums(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return sum_{k<n} l_k(u)^2 and the Newton step L_n(u) / L_n'(u).
+
+    l_k = L_k e^{-u/2} are the Laguerre functions, bounded by 1 for u >= 0.
+    The three-term recurrence runs on L_k with e^{-u/2} kept as a logarithm,
+    and a point whose L_k grows past 1e100 is scaled back into that factor,
+    as in ``phasespace._hermite_functions``, so nothing leaves the float range
+    at large u or n.  L_n' = n (L_n - L_{n-1}) / u, so the step is a ratio of
+    values on one scale.
+    """
+    log_g = -0.5 * u
+    g = np.exp(log_g)
+    prev, cur = np.zeros(u.size), np.ones(u.size)
+    total = np.zeros(u.size)
+    for k in range(n):
+        total += (cur * g) ** 2
+        prev, cur = cur, ((2.0 * k + 1.0 - u) * cur - k * prev) / (k + 1.0)
+        big = np.abs(cur) > 1e100
+        if big.any():
+            cur[big] *= 1e-100
+            prev[big] *= 1e-100
+            log_g[big] += 100.0 * np.log(10.0)
+            g = np.exp(log_g)
+    return total, u * cur / (n * (cur - prev))
+
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_i and scaled weights w_i e^{u_i} of the n-point Gauss-Laguerre rule.
+
+    sum_i w_i e^{u_i} f(u_i) e^{-u_i} equals the integral of f(u) e^{-u} over
+    u >= 0 for every polynomial f of degree below 2n.  The nodes are the
+    eigenvalues of the Jacobi matrix of the Laguerre recurrence (diagonal
+    2k + 1, off-diagonal k), polished by one Newton step on L_n, and the
+    weights are Christoffel numbers (Golub and Welsch, Math. Comp. 23, 221
+    (1969)), w_i e^{u_i} = 1 / sum_{k<n} l_k(u_i)^2.  Unlike
+    ``numpy.polynomial.laguerre.laggauss``, whose unscaled weights underflow
+    to NaN from about n = 200 on, nothing here leaves the float range.
+    """
+    off = np.arange(1.0, n)
+    jacobi = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    u = np.linalg.eigvalsh(jacobi)
+    u -= _laguerre_sums(n, u)[1]
+    scaled = 1.0 / _laguerre_sums(n, u)[0]
+    u.flags.writeable = scaled.flags.writeable = False
+    return u, scaled
+
+
 def measure_char_quadrature(chi, radial_cut: float | None = None,
                             tol: float = 1e-8) -> MeasureResult:
     """Integrate (|xi|^2 - 1)|chi|^2 / (2 pi) over the plane of one mode.
 
     ``chi`` is a single-mode characteristic function, a callable on complex
     arrays; the angle is exact when it has ``angular_mean_sq`` and
-    trapezoid-sampled otherwise, and the radius runs on adaptive panels
-    (:func:`_panel_quadrature`).  Without ``radial_cut`` the integrand is
-    probed for a cut, which strongly squeezed states need.  Purity and
-    occupation come from ``chi`` when it carries them.  Raises
+    trapezoid-sampled otherwise.  The radius takes one of two paths.
+
+    A ``chi`` that exposes ``levels``, the Fock levels its state occupies
+    (``DenseChar``), takes the exact rule when no ``radial_cut`` is given:
+    on D levels the angular mean of |chi|^2 is e^{-u} times a polynomial of
+    degree at most 2(D - 1) in u = r^2, so the D-node Gauss-Laguerre rule
+    (:func:`_laguerre_rule`) gives both the I and the purity integral
+    exactly, from one evaluation of the integrand at D radii, with no cut,
+    panels or tail.  Its err_estimate is the purity closure |P_quad - P|
+    plus the rounding bound 50 eps times the sum of the |terms| of I.
+
+    Any other ``chi`` (``GaussianChar``, ``ThermalSCSChar``, a bare
+    callable), and any call with ``radial_cut``, runs on adaptive panels
+    (:func:`_panel_quadrature`) up to the cut; without one the integrand is
+    probed for it, and a Gaussian tail estimate joins the error.  When
+    ``chi`` carries ``purity``, the panels' purity integral closes against
+    it too, so weight the cut misses shows in err_estimate.
+
+    Purity and occupation come from ``chi`` when it carries them.  Raises
     ConvergenceError, with the partial result attached, when the error
     budget lands above 50 * tol.
     """
     s = _angular_mean(chi)
+    levels = getattr(chi, "levels", None)
     warns = []
-    if radial_cut is None:
-        R, capped = _probe_radial_cut(s)
-        warns.extend(capped)
+    if levels is not None and radial_cut is None:
+        u, scaled = _laguerre_rule(int(levels))
+        vals = scaled * s(np.sqrt(u))
+        terms = 0.5 * (u - 1.0) * vals
+        value, quad_p = float(terms.sum()), float(vals.sum())
+        err = 50.0 * np.finfo(float).eps * float(np.abs(terms).sum())
+        hint = f"the {int(levels)}-node rule does not close the state's purity"
     else:
-        R = float(radial_cut)
-    (value, val_p), err, open_panels = _panel_quadrature(
-        s, [0.0, *_default_breakpoints(R), R])
-    if open_panels:
-        warns.append(f"radial quadrature left {open_panels} panel(s) unconverged "
-                     f"after {_MAX_HALVINGS} halvings")
-    tail_i, tail_p = _tail_estimates(s, R)
-    err += tail_i
+        if radial_cut is None:
+            R, capped = _probe_radial_cut(s)
+            warns.extend(capped)
+        else:
+            R = float(radial_cut)
+        (value, val_p), err, open_panels = _panel_quadrature(
+            s, [0.0, *_default_breakpoints(R), R])
+        if open_panels:
+            warns.append(f"radial quadrature left {open_panels} panel(s) unconverged "
+                         f"after {_MAX_HALVINGS} halvings")
+        tail_i, tail_p = _tail_estimates(s, R)
+        err += tail_i
+        quad_p = 2.0 * (val_p + tail_p if np.isfinite(tail_p) else val_p)
+        hint = "the radial cut is likely too small for this state"
     mean_attr = getattr(chi, "mean_n", None)
     mean = float(mean_attr) if mean_attr is not None else _mean_n_from_char(chi)
     pur_attr = getattr(chi, "purity", None)
-    purity = float(pur_attr) if pur_attr is not None else 2.0 * (
-        val_p + tail_p if np.isfinite(tail_p) else val_p)
+    purity = quad_p if pur_attr is None else float(pur_attr)
+    err += abs(quad_p - purity)  # the purity closure, 0 when chi carries none
 
     result = MeasureResult(value=float(value), route="char-quadrature", mean_n=mean,
                            purity=purity, err_estimate=float(err), warnings=tuple(warns))
     if not np.isfinite(err) or err > 50.0 * tol:
         raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds 50 * tol = {50 * tol:.1e}; "
-            "the radial cut is likely too small for this state", partial=result)
+            f"quadrature error estimate {err:.3e} exceeds 50 * tol = {50 * tol:.1e}; {hint}",
+            partial=result)
     return result
 
 
@@ -379,7 +454,7 @@ def measure(state, route: str | None = None) -> MeasureResult:
     any other object, taken to be a characteristic function
     (``GaussianChar``, ``ThermalSCSChar``, ``DenseChar``), takes
     ``char-quadrature``.  ``char-quadrature`` wraps a ``DensityMatrix`` with
-    ``char_of`` and lets the route probe for its radial cut; callers that
+    ``char_of``, so the route takes its exact radial rule; callers that
     need their own cut or grid call the route functions directly.  A state
     that lacks the form a route needs, and an unknown route, raise
     ValueError.

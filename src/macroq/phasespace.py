@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,7 +131,11 @@ class DenseChar:
     """Characteristic function of a dense single-mode state, callable on arrays.
 
     Exposes :meth:`angular_mean_sq` so the quadrature route can integrate the
-    angle exactly instead of sampling it.
+    angle exactly instead of sampling it, and ``levels``, the count of Fock
+    levels up to the highest significant one (the trim ``_diagonal_sums``
+    applies), so that without a ``radial_cut`` the route integrates the
+    radius by the exact Gauss-Laguerre rule on that many nodes instead of
+    probing for a cut and running panels.
     """
 
     def __init__(self, state: DensityMatrix):
@@ -143,6 +148,10 @@ class DenseChar:
 
     def angular_mean_sq(self, r):
         return _angular_mean_sq(self.state.data, r)
+
+    @cached_property
+    def levels(self) -> int:
+        return _significant_level(self.state.data) + 1
 
     @property
     def mean_n(self) -> float:

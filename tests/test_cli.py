@@ -405,3 +405,15 @@ def test_convergence_error_reports_partial(capsys):
     chi = phasespace.char_of(catalog.make_scs(2.0, 40))
     with pytest.raises(ConvergenceError):
         measure_char_quadrature(chi, radial_cut=0.8, tol=1e-12)
+
+
+def test_quadrature_miss_on_thermal_scs_exits_1_with_a_convergence_error(capsys):
+    # the wings at |xi| = 40 lie past the probed cut; the route used to print
+    # I = -0.0625 against the closed form 200.0625 and exit 0
+    rc, out, err = run(capsys, "measure", "--state", "thermal-scs", "--V", "2",
+                       "--d", "20", "--route", "char-quadrature")
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "convergence"
+    assert payload["partial"]["purity"] == 0.5
+    assert payload["partial"]["err_estimate"] == pytest.approx(0.25, rel=1e-6)

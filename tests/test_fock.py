@@ -89,6 +89,28 @@ def test_density_matrix_refuses_entries_that_are_not_finite(entries):
         DensityMatrix(2, np.array(entries))
 
 
+def test_density_matrix_scales_entries_near_the_float_limit():
+    # rho + rho^H overflows past half the float range; the state is the same
+    # as that of the matrix divided by its largest entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = DensityMatrix(2, np.diag([1e308, 1e308]))
+        phased = DensityMatrix(2, np.array([[1e308, -1e308j], [1e308j, 1e308]]))
+    assert np.array_equal(rho.data, np.diag([0.5, 0.5]).astype(complex))
+    assert rho.purity() == 0.5
+    assert np.allclose(phased.data, [[0.5, -0.5j], [0.5j, 0.5]], rtol=0, atol=1e-16)
+    # the Hermiticity gate still reads deviations in the caller's units
+    with pytest.raises(ValueError, match=re.escape("max deviation 1.000e+300")):
+        DensityMatrix(2, np.array([[1e308, 1e300], [0.0, 1.0]]))
+
+
+def test_density_matrix_refuses_a_trace_that_is_not_finite():
+    # each entry is below half the float range, but their sum is not finite
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="trace inf is not finite"):
+        warnings.simplefilter("error")
+        DensityMatrix(3, np.diag([8e307, 8e307, 8e307]))
+
+
 def test_density_matrix_moments():
     rho = DensityMatrix(4, np.diag([0.5, 0.25, 0.25, 0.0]))
     assert rho.mean_number() == pytest.approx(0.75)

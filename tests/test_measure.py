@@ -1,5 +1,7 @@
 """Tests for the three evaluation routes and their failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from macroq.fock import DensityMatrix, ModeCutoffs, annihilation_op, number_op
 from macroq.measure import (
     ConvergenceError,
     MeasureResult,
+    _laguerre_rule,
     measure,
     measure_char_quadrature,
     measure_operator,
@@ -112,17 +115,26 @@ def test_quadrature_route_flags_bad_cut():
 
 
 class _CountingChar:
-    """Passes calls through to a DenseChar and counts angular_mean_sq calls."""
+    """Passes calls through to a DenseChar and counts angular_mean_sq calls.
 
-    def __init__(self, chi):
+    Unless given ``levels``, it exposes none, so the route takes its panels.
+    """
+
+    def __init__(self, chi, levels=None):
         self._chi = chi
-        self.calls = 0
+        self.radii = []
+        if levels is not None:
+            self.levels = levels
+
+    @property
+    def calls(self):
+        return len(self.radii)
 
     def __call__(self, xi):
         return self._chi(xi)
 
     def angular_mean_sq(self, r):
-        self.calls += 1
+        self.radii.append(np.size(r))
         return self._chi.angular_mean_sq(r)
 
     @property
@@ -174,9 +186,94 @@ def test_quadrature_route_warns_when_panel_budget_runs_out():
 
 def test_quadrature_route_probes_its_cut_by_default():
     # squeezed s = 1.5 reaches past r = 8, so a fixed cut there would truncate it
-    res = measure_char_quadrature(phasespace.char_of(catalog.make_squeezed(1.5)))
-    exact = catalog.gaussian_measure(*catalog.squeezed_char_params(1.5)).value
+    params = catalog.squeezed_char_params(1.5)
+    res = measure_char_quadrature(catalog.GaussianChar(*params))
+    exact = catalog.gaussian_measure(*params).value
     assert res.value == pytest.approx(exact, abs=1e-6)
+
+
+@pytest.mark.parametrize("V, d, gap", [(2.0, 20.0, 0.25), (1.0, 8.75, 0.5),
+                                       (4.0, 14.25, 0.125)])
+def test_quadrature_route_closes_purity_on_the_panels(V, d, gap):
+    # the wings at |xi| = 2d lie past the probed cut, so the panels see half
+    # of the purity (or less); the closure turns that into a loud failure
+    # instead of a value off by about 2 d^2 with a tiny err_estimate
+    chi = catalog.ThermalSCSChar(V, d)
+    with pytest.raises(ConvergenceError) as exc:
+        measure_char_quadrature(chi)
+    partial = exc.value.partial
+    assert partial.purity == chi.purity
+    assert partial.err_estimate == pytest.approx(gap, rel=1e-6)
+    exact = catalog.thermal_scs_measure(V, d).value
+    assert abs(partial.value - exact) > 1.0
+
+
+def test_quadrature_route_closes_purity_on_closed_form_states():
+    # where the cut holds the state, the closure adds only rounding
+    for chi in (catalog.ThermalSCSChar(4.0, 2.0), catalog.ThermalSCSChar(8.0, 4.0),
+                catalog.GaussianChar(*catalog.squeezed_char_params(1.5))):
+        res = measure_char_quadrature(chi)
+        assert res.err_estimate < 1e-10
+
+
+def test_laguerre_rule_matches_laggauss():
+    for n in (1, 2, 3, 7, 40, 100, 150):
+        u, scaled = _laguerre_rule(n)
+        x, w = np.polynomial.laguerre.laggauss(n)
+        assert np.allclose(u, x, rtol=1e-10, atol=0)
+        assert np.allclose(scaled, w * np.exp(x), rtol=1e-10, atol=0)
+
+
+def test_laguerre_rule_stays_finite_and_exact_at_500_nodes():
+    # laggauss gives NaN from about 200 nodes on; the scaled weights do not
+    u, scaled = _laguerre_rule(500)
+    assert np.isfinite(u).all() and np.isfinite(scaled).all()
+    assert (np.diff(u) > 0).all() and u[0] > 0
+    weights = scaled * np.exp(-u)
+    for k in range(20):
+        assert weights @ u ** k == pytest.approx(math.factorial(k), rel=1e-12)
+
+
+def test_exact_radial_rule_gives_zero_on_the_vacuum():
+    chi = phasespace.char_of(catalog.make_fock(0, 1))
+    assert chi.levels == 1
+    res = measure_char_quadrature(chi)
+    assert res.value == 0.0
+    assert res.err_estimate < 1e-15
+
+
+_SINGLE_MODE = {
+    "fock5": lambda: catalog.make_fock(5),
+    "coherent": lambda: catalog.make_coherent(1.3 + 0.4j),
+    "scs": lambda: catalog.make_scs(2.2),
+    "scs8": lambda: catalog.make_scs(8),
+    "mixture-scs": lambda: catalog.make_mixture_scs(1.7),
+    "decohered-scs": lambda: catalog.make_decohered_scs(1.5, 0.3),
+    "thermal": lambda: catalog.make_thermal(1.2, 60),
+    "squeezed1.5": lambda: catalog.make_squeezed(1.5),
+    "maximally-mixed": lambda: catalog.make_maximally_mixed(7),
+    "thermal-scs": lambda: catalog.make_thermal_scs(2.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("make", list(_SINGLE_MODE.values()), ids=list(_SINGLE_MODE))
+def test_exact_radial_rule_matches_operator_on_the_catalog(make):
+    state = make()
+    dense = phasespace.char_of(state)
+    chi = _CountingChar(dense, levels=dense.levels)
+    res = measure_char_quadrature(chi)
+    assert chi.radii == [chi.levels]
+    assert res.err_estimate < 1e-12
+    assert res.value == pytest.approx(measure_operator(state).value, abs=1e-12)
+
+
+def test_exact_radial_rule_flags_weight_past_its_levels():
+    # a chi whose levels undercount its state has a purity the rule cannot
+    # close, so the route fails loudly instead of returning the truncated sum
+    chi = _CountingChar(phasespace.char_of(catalog.make_scs(2.0, 40)), levels=8)
+    with pytest.raises(ConvergenceError, match="8-node rule does not close") as exc:
+        measure_char_quadrature(chi)
+    assert exc.value.partial.err_estimate > 1e-3
 
 
 def test_wigner_grid_route_matches_operator():
