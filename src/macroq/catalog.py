@@ -22,24 +22,38 @@ import numpy as np
 from scipy.special import gammaln, i0e
 
 from .fock import (LEAK_TOL, DensityMatrix, ModeCutoffs, TruncationLeakError,
-                   suggest_cutoff)
+                   displacement_matrix, suggest_cutoff)
 from .measure import MeasureResult
 
 _HARD_LEAK = 1e-2
-_SCS_GRID_POINTS = 81  # branch centres per axis of make_thermal_scs's grid
-_SCS_SPAN = 5.0        # its half width, in units of sqrt((V - 1) / 2)
 # ln 2 as the sum of two doubles
 _LN2_HI = 0.6931471805599453
 _LN2_LO = 2.3190468138462996e-17
 
 
-def _leak_gate(leak: float, context: str) -> None:
+def _leak_gate(leak: float, context: str, stacklevel: int = 3) -> None:
+    """Refuse or warn about a cutoff; the warning points ``stacklevel`` frames up."""
     if leak > _HARD_LEAK:
         raise TruncationLeakError(
             f"{context}: cutoff misses {leak:.3e} of the norm; increase it")
     if leak > LEAK_TOL:
         warnings.warn(f"{context}: cutoff misses {leak:.3e} of the norm",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=stacklevel)
+
+
+def _two_branch(branch: np.ndarray, gamma: float, full: float, context: str) -> DensityMatrix:
+    """The state B o W / tr of a branch B around +beta and its mirror image around -beta.
+
+    W[m, n] = 1 + s_m s_n + gamma (s_m + s_n) with s_n = (-1)^n: the parity
+    P = diag(s) maps B to its mirror P B P, and B o W = B + P B P + gamma
+    (B P + P B), so gamma = 1 gives the even superposition, 0 the mixture.
+    ``full`` is the trace of B o W on the untruncated space; the cutoff
+    misses 1 - tr(B o W) / full of it.
+    """
+    s = 1.0 - 2.0 * (np.arange(branch.shape[0]) % 2)
+    rho = branch * (1.0 + np.multiply.outer(s, s) + gamma * np.add.outer(s, s))
+    _leak_gate(1.0 - float(rho.trace().real) / full, context, stacklevel=4)
+    return DensityMatrix(ModeCutoffs((branch.shape[0],)), rho)
 
 
 def _pure(amp: np.ndarray) -> DensityMatrix:
@@ -85,21 +99,17 @@ def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
 def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     """Even superposition of |alpha> and |-alpha>."""
     cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
-    amp = _coherent_amplitudes(alpha, cutoff) + _coherent_amplitudes(-alpha, cutoff)
-    norm2 = float(np.sum(np.abs(amp) ** 2))
-    full = 2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2))
-    _leak_gate(1.0 - norm2 / full, f"superposition alpha={alpha}")
-    return _pure(amp / np.sqrt(norm2))
+    amp = _coherent_amplitudes(alpha, cutoff)
+    return _two_branch(np.outer(amp, amp.conj()), 1.0,
+                       2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)),
+                       f"superposition alpha={alpha}")
 
 
 def make_mixture_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     """Classical fifty-fifty mixture of |alpha> and |-alpha>."""
     cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
-    vp = _coherent_amplitudes(alpha, cutoff)
-    vm = _coherent_amplitudes(-alpha, cutoff)
-    _leak_gate(1.0 - float(np.sum(np.abs(vp) ** 2)), f"mixture alpha={alpha}")
-    rho = 0.5 * (np.outer(vp, vp.conj()) + np.outer(vm, vm.conj()))
-    return DensityMatrix(ModeCutoffs((cutoff,)), rho)
+    amp = _coherent_amplitudes(alpha, cutoff)
+    return _two_branch(np.outer(amp, amp.conj()), 0.0, 2.0, f"mixture alpha={alpha}")
 
 
 def make_decohered_scs(alpha: float, tau: float, cutoff: int | None = None) -> DensityMatrix:
@@ -112,14 +122,12 @@ def make_decohered_scs(alpha: float, tau: float, cutoff: int | None = None) -> D
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(alpha ** 2)
-    t = np.exp(-0.5 * tau)
+    beta = np.exp(-0.5 * tau) * abs(alpha)
     gamma = np.exp(-2.0 * (1.0 - np.exp(-tau)) * alpha ** 2)
-    vp = _coherent_amplitudes(t * alpha, cutoff)
-    vm = _coherent_amplitudes(-t * alpha, cutoff)
-    _leak_gate(1.0 - float(np.sum(np.abs(vp) ** 2)), f"damped superposition alpha={alpha}")
-    rho = (np.outer(vp, vp.conj()) + np.outer(vm, vm.conj())
-           + gamma * (np.outer(vp, vm.conj()) + np.outer(vm, vp.conj())))
-    return DensityMatrix(ModeCutoffs((cutoff,)), rho)
+    amp = _coherent_amplitudes(beta, cutoff)
+    return _two_branch(np.outer(amp, amp.conj()), gamma,
+                       2.0 * (1.0 + gamma * np.exp(-2.0 * beta ** 2)),
+                       f"damped superposition alpha={alpha}")
 
 
 def make_thermal(nbar: float, cutoff: int | None = None) -> DensityMatrix:
@@ -174,45 +182,34 @@ def make_maximally_mixed(dim: int) -> DensityMatrix:
 
 
 def make_thermal_scs(V: float, d: float, cutoff: int | None = None) -> DensityMatrix:
-    """Gaussian ensemble of superposition states: dense reference construction.
+    """Gaussian ensemble of superposition states, built exactly.
 
     Branch centers beta are drawn from a width-(V-1) Gaussian around d, each
-    contributing the even superposition of |beta> and |-beta>.  V = 1 recovers
-    the pure state.  This is a brute-force integration meant for
-    cross-validation at moderate V and d, not production use; the analytic
-    characteristic function in :class:`ThermalSCSChar` is the fast path.
+    contributing the even superposition of |beta> and |-beta>.  The Gaussian
+    mixture of |beta> is the displaced thermal state D(d) rho_th D(d)^dag
+    with nbar = (V - 1) / 2 (Glauber, Phys. Rev. 131, 2766 (1963)), so the
+    ensemble is that branch under the parity weights of the even
+    superposition.  V = 1 (nbar = 0) is the pure state; the state is even in d.
     """
-    V, d = float(V), float(d)
+    V, d = float(V), abs(float(d))
     if V < 1.0:
         raise ValueError("V must be at least 1")
-    lam = V - 1.0
-    half = _SCS_SPAN * np.sqrt(lam / 2.0)
-    if cutoff is None:
-        # cover the farthest ensemble member, not just the mean occupation
-        cutoff = suggest_cutoff((abs(d) + half) ** 2 + half ** 2)
-    if V == 1.0:
-        return make_scs(d, cutoff)
-    xs = np.linspace(d - half, d + half, _SCS_GRID_POINTS)
-    ys = np.linspace(-half, half, _SCS_GRID_POINTS)
-    betas = (xs[:, None] + 1j * ys[None, :]).ravel()
-    w = np.exp(-2.0 * np.abs(betas - d) ** 2 / lam)
-    n = np.arange(cutoff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = n[None, :] * np.log(np.abs(betas))[:, None]
-    # |beta|^0 = 1 also at beta = 0, where the branch is the vacuum
-    power[:, 0] = 0.0
-    logc = -0.5 * np.abs(betas)[:, None] ** 2 + power - 0.5 * gammaln(n + 1.0)[None, :]
-    phases = np.exp(1j * np.angle(betas)[:, None] * n[None, :])
-    cp = np.exp(logc) * phases
-    cm = cp * (-1.0) ** n[None, :]
-    vecs = cp + cm
-    rho = (vecs * w[:, None]).T @ vecs.conj()
-    state = DensityMatrix(ModeCutoffs((int(cutoff),)), rho)
-    top = float(state.data[-1, -1].real)
-    if top > 1e-8:
-        warnings.warn(f"thermal superposition V={V} d={d}: top-level population "
-                      f"{top:.3e}, cutoff may be low", RuntimeWarning, stacklevel=2)
-    return state
+    nbar = 0.5 * (V - 1.0)
+    # default: cover the ensemble five widths out, not just the mean occupation
+    cutoff = (int(cutoff) if cutoff is not None
+              else suggest_cutoff((d + 5.0 * np.sqrt(nbar)) ** 2 + 25.0 * nbar))
+    # thermal levels up to where q^k falls below 1e-18, at least the cutoff and
+    # at most twice it.  Dropped levels only lower the truncated trace, so the
+    # leak gate counts them.  Displacing the thermal state only moves weight
+    # out (Anderson's inequality), so the branch puts at least q^cutoff past
+    # the cutoff, and the dropped q^(2 cutoff) is below the square of that
+    q = nbar / (1.0 + nbar)
+    levels = cutoff if q == 0.0 else int(np.clip(np.ceil(np.log(1e-18) / np.log(q)),
+                                                 cutoff, 2 * cutoff))
+    p = (1.0 - q) * q ** np.arange(levels)
+    D = displacement_matrix(levels, d)[:cutoff]
+    return _two_branch((D * p) @ D.conj().T, 1.0, 2.0 * ThermalSCSChar(V, d)._norm,
+                       f"thermal superposition V={V} d={d}")
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,13 @@ HERMITICITY_TOL = 1e-12
 # trace lost past the cutoff that apply_displacement refuses and the catalog
 # constructors warn about
 LEAK_TOL = 1e-6
+# log of the smallest seed _displaced_columns carries as it is; e^-708 is the
+# bottom of the normal float range
+_SEED_FLOOR = -700.0
+# ln 2 = _LN2_HI + _LN2_LO, the first with 32 significant bits, so that
+# e * _LN2_HI is exact for every integer |e| < 2^21
+_LN2_HI = 0.6931471803691238
+_LN2_LO = 1.9082149292705877e-10
 
 
 def _hermitian_part(rho: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -192,8 +199,7 @@ class DensityMatrix:
         logs = np.log(norms).sum(axis=0)
         scales = np.exp(logs - logs.max())
         coeff = coeff * np.outer(scales, scales)
-        gram = np.prod(kets.conj() @ kets.transpose(0, 2, 1), axis=0)
-        tr = _trace_product(coeff, gram)
+        tr = _trace_product(coeff, _ket_gram(kets))
         if not tr > 0.0:
             raise ValueError(f"state trace {tr!r} is not positive")
 
@@ -277,9 +283,20 @@ class DensityMatrix:
         return float(np.einsum("ij,ij->", flat, flat))
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the dense matrix, computed on first call and kept."""
+        """Smallest eigenvalue of the state, computed on first call and kept.
+
+        A product state rho = V C V^H shares its nonzero eigenvalues with the
+        r x r product C G, G = V^H V the Gram matrix of its terms, and has
+        the eigenvalue 0 besides when dim > r; its dense matrix is not built.
+        """
         if self._min_eigenvalue is None:
-            self._min_eigenvalue = float(np.linalg.eigvalsh(self.data)[0])
+            if self.kets is None:
+                low = float(np.linalg.eigvalsh(self.data)[0])
+            else:
+                low = float(np.linalg.eigvals(self.coeff @ _ket_gram(self.kets)).real.min())
+                if self.dim > self.coeff.shape[0]:
+                    low = min(low, 0.0)
+            self._min_eigenvalue = low
         return self._min_eigenvalue
 
 
@@ -304,6 +321,12 @@ def _stack_kets(terms) -> tuple[np.ndarray, tuple[int, ...]]:
     stacked[np.broadcast_to(held, stacked.shape)] = np.concatenate(
         [term[m] for m in range(modes) for term in terms])
     return stacked, tuple(int(d) for d in dims)
+
+
+def _ket_gram(kets: np.ndarray) -> np.ndarray:
+    """G_ij = <Psi_i|Psi_j> of the product kets ``kets[m, i]``: the product over
+    the modes of the per-mode Gram matrices."""
+    return np.prod(kets.conj() @ kets.transpose(0, 2, 1), axis=0)
 
 
 def _trace_product(x: np.ndarray, y: np.ndarray) -> float:
@@ -468,20 +491,43 @@ def _displaced_columns(r: np.ndarray, k: np.ndarray, nmax: np.ndarray):
     stops after the last level any diagonal needs.  The normalized three-term
     recurrence in n runs for all the diagonals at once and stays bounded by 1
     in magnitude (the elements belong to a unitary), so there is no overflow
-    for any cutoff or radius of practical interest.  Three buffers rotate, so
-    a yielded f is only safe to read until the generator advances.
+    for any cutoff or radius of practical interest.  A seed <k|D(r)|0> below
+    e^_SEED_FLOOR (r^2 past about 1400 at small k) is carried as m 2^-e with
+    m near 1 and an integer lift e, which is folded back by exact powers of
+    two as the recurrence grows the entry, so such a diagonal still reads its
+    true values further out.  Three buffers rotate, so a yielded f is only
+    safe to read until the generator advances.
     """
     r = np.asarray(r, dtype=float)
     nmax = np.asarray(nmax)
     x = r * r
     kk = np.asarray(k, dtype=float)[:, None]
-    f = np.exp(-0.5 * x + kk * np.log(r) - 0.5 * gammaln(kk + 1.0))
+    logf = -0.5 * x + kk * np.log(r) - 0.5 * gammaln(kk + 1.0)
+    lift = None
+    if logf.min(initial=0.0) < _SEED_FLOOR:
+        lift = np.where(logf < _SEED_FLOOR, np.floor(-logf / _LN2_HI), 0.0)
+        # e ln 2 = e (hi + lo) exactly enough that the seed keeps full precision
+        logf = (logf + lift * _LN2_HI) + lift * _LN2_LO
+        lift = lift.astype(np.int64)
+        true = np.empty_like(logf)
+    f = np.exp(logf)
     fm1 = np.zeros_like(f)
     spare = np.empty_like(f)
     for n in range(int(nmax.max(initial=0))):
         rows = int(np.nonzero(nmax > n)[0][-1]) + 1
         f, fm1, spare, kk = f[:rows], fm1[:rows], spare[:rows], kk[:rows]
-        yield n, f
+        if lift is None:
+            yield n, f
+        else:
+            # fold back as much of the lift as keeps the entry below 1
+            lift = lift[:rows]
+            drop = np.minimum(lift, np.maximum(np.frexp(f)[1], 0))
+            np.ldexp(f, -drop, out=f)
+            np.ldexp(fm1, -drop, out=fm1)
+            lift -= drop
+            yield n, np.ldexp(f, -lift, out=true[:rows])
+            if not lift.any():
+                lift = None
         # f_{n+1} = a f_n + b f_{n-1}, written into the spare buffer
         np.subtract(2.0 * n + kk + 1.0, x, out=spare)
         spare /= np.sqrt((n + 1.0) * (n + kk + 1.0))

@@ -1,7 +1,5 @@
 """State constructors and the closed-form evaluators that go with them."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -137,16 +135,60 @@ def test_maximally_mixed_is_exactly_neutral():
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("V,d", [(2.0, 1.0), (5.0, 2.0)])
+@pytest.mark.parametrize("V,d", [(2.0, 1.0), (2.0, 3.0), (3.0, 1.0), (5.0, 2.0),
+                                 (8.0, 4.0), (10.0, 5.0), (2.0, 0.0)])
+@pytest.mark.filterwarnings("error")  # the default cutoff holds the state
 def test_thermal_scs_closed_form_vs_dense(V, d):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = catalog.make_thermal_scs(V, d)
+    rho = catalog.make_thermal_scs(V, d)
     closed = catalog.thermal_scs_measure(V, d)
-    assert measure_operator(rho).value == pytest.approx(closed.value, abs=1e-9)
+    assert measure_operator(rho).value == pytest.approx(closed.value, abs=1e-12)
     assert rho.mean_number() == pytest.approx(catalog.ThermalSCSChar(V, d).mean_n,
-                                              abs=1e-8)
-    assert rho.purity() == pytest.approx(catalog.ThermalSCSChar(V, d).purity, abs=1e-9)
+                                              abs=1e-12)
+    assert rho.purity() == pytest.approx(catalog.ThermalSCSChar(V, d).purity, abs=1e-12)
+
+
+def test_thermal_scs_pure_branch_is_the_superposition():
+    # V = 1 leaves the displaced thermal branch a coherent state
+    np.testing.assert_allclose(catalog.make_thermal_scs(1.0, 1.4).data,
+                               catalog.make_scs(1.4).data, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(catalog.make_thermal_scs(1.0, -1.4).data,
+                               catalog.make_scs(1.4).data, rtol=0, atol=1e-15)
+
+
+def test_thermal_scs_cutoff_gate():
+    with pytest.raises(TruncationLeakError, match="2.629e-02"):
+        catalog.make_thermal_scs(2.0, 3.0, cutoff=20)
+    with pytest.warns(RuntimeWarning, match="1.404e-06") as caught:
+        catalog.make_thermal_scs(2.0, 3.0, cutoff=40)
+    # the warning names the constructor's caller, not a catalog frame
+    assert caught[0].filename == __file__
+    # a cutoff far below the thermal width is refused without building the
+    # thermal levels past twice the cutoff
+    with pytest.raises(TruncationLeakError, match="9.900e-01"):
+        catalog.make_thermal_scs(1e4, 0.0, cutoff=50)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.make_scs(3.0, cutoff=24),
+    lambda: catalog.make_mixture_scs(3.0, cutoff=24),
+    lambda: catalog.make_decohered_scs(3.5, 0.1, cutoff=30),
+], ids=["scs", "mixture", "decohered"])
+def test_cat_leak_warning_points_at_the_caller(make):
+    with pytest.warns(RuntimeWarning, match="cutoff misses") as caught:
+        make()
+    assert caught[0].filename == __file__
+
+
+def test_real_amplitude_cats_are_real_with_exact_parity_zeros():
+    cat = catalog.make_scs(2.95, 37).data
+    assert not cat.imag.any()
+    assert not cat[1::2].any() and not cat[:, 1::2].any()
+    assert np.count_nonzero(np.abs(cat.diagonal()) > 1e-300) == 19
+    for rho in (catalog.make_mixture_scs(2.0), catalog.make_decohered_scs(2.0, 0.3)):
+        assert not rho.data.imag.any()
+    # the mixture holds no coherence between the parity sectors
+    mix = catalog.make_mixture_scs(2.0).data
+    assert not mix[0::2, 1::2].any()
 
 
 def test_thermal_scs_closed_form_vs_quadrature():
@@ -190,17 +232,6 @@ def test_ghz_noon_constructors():
     assert ghz.kets.shape == (6, 2, 2) and ghz.modes == 6
     noon = catalog.make_noon(4)
     assert noon.mean_number() == pytest.approx(4.0)
-
-
-def test_thermal_scs_grid_through_zero_amplitude():
-    # V = 3, d = 1 puts beta = 0 on the branch grid, whose branch is the vacuum
-    rho = catalog.make_thermal_scs(3.0, 1.0)
-    assert np.all(np.isfinite(rho.data))
-    chi = catalog.ThermalSCSChar(3.0, 1.0)
-    assert measure_operator(rho).value == pytest.approx(
-        catalog.thermal_scs_measure(3.0, 1.0).value, abs=1e-9)
-    assert rho.mean_number() == pytest.approx(chi.mean_n, abs=1e-8)
-    assert rho.purity() == pytest.approx(chi.purity, abs=1e-9)
 
 
 def _relative_gap(got, exact, mpmath):

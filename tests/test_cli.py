@@ -108,13 +108,24 @@ def test_measure_dur_routes_agree(capsys):
 
 
 def test_measure_thermal_scs_with_vacuum_branch_is_finite(capsys):
-    # the branch grid of V = 3, d = 1 holds beta = 0
+    # V = 3, d = 1: an ensemble whose width reaches past beta = 0
     rc, out, err = run(capsys, "measure", "--state", "thermal-scs", "--V", "3",
                        "--d", "1", "--route", "operator")
     assert rc == 0 and err == ""
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(catalog.thermal_scs_measure(3.0, 1.0).value,
                                              abs=1e-9)
+
+
+def test_measure_thermal_scs_refuses_a_cutoff_that_misses_the_state(capsys):
+    # cutoff 20 misses 2.6e-2 of the norm: the truncated state's I is 4.7236,
+    # the closed form 4.5619, and the operator route's err_estimate would read 0
+    rc, out, err = run(capsys, "measure", "--state", "thermal-scs", "--V", "2",
+                       "--d", "3", "--cutoff", "20", "--route", "operator")
+    assert rc == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "TruncationLeakError"
+    assert "misses 2.629e-02 of the norm" in payload["message"]
 
 
 def test_measure_missing_param_is_usage_error(capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from macroq import catalog
 from macroq.fock import (
     DensityMatrix,
     _displaced_columns,
@@ -232,6 +233,21 @@ def test_displaced_columns_match_laguerre_closed_form():
                 assert abs(table[kk, n, j] - float(exact)) <= bound, (kk, n, rr)
 
 
+@pytest.mark.parametrize("r,n", [(38.0, 1444), (40.0, 1600), (45.0, 2025)])
+def test_displaced_columns_past_seed_underflow(r, n):
+    # the seed e^{-r^2/2} of the main diagonal lies below the float range, yet
+    # <n|D(r)|n> = e^{-r^2/2} L_n(r^2) at n = r^2 is of order 1e-2
+    mpmath = pytest.importorskip("mpmath")
+    for level, f in _displaced_columns(np.array([r]), np.array([0]), np.array([n + 1])):
+        got = float(f[0, 0])
+    assert level == n
+    with mpmath.workdps(int(r * r / 2) + 60):
+        x = mpmath.mpf(r) ** 2
+        exact = float(mpmath.exp(-x / 2) * mpmath.laguerre(n, 0, x))
+    assert abs(exact) > 1e-3
+    assert abs(got - exact) <= 1e-16
+
+
 def test_displacement_matrix_ground_column():
     beta = 0.7 - 0.2j
     d = displacement_matrix(30, beta)
@@ -275,3 +291,31 @@ def test_apply_rotation_phases_number_basis():
     np.testing.assert_allclose(out.data, expected, atol=1e-15)
     # diagonal, and hence the spectrum-free moments, are untouched
     assert out.mean_number() == pytest.approx(rho.mean_number())
+
+
+def _random_mixture(n_modes, dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    terms = [[rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(n_modes)]
+             for _ in range(rank)]
+    return DensityMatrix.mixture(terms, rng.uniform(0.1, 1.0, rank))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.make_ghz(4),
+    lambda: catalog.make_dur(6, 0.3),
+    lambda: catalog.make_noon(3),
+    lambda: _random_mixture(3, 3, 4, 5),
+    lambda: _random_mixture(2, 2, 4, 6),  # dim = rank: no zero eigenvalue
+], ids=["ghz4", "dur6", "noon3", "mixture-rank4", "mixture-full-rank"])
+def test_product_min_eigenvalue_matches_dense(make):
+    state = make()
+    low = state.min_eigenvalue()
+    assert state._data is None
+    dense = DensityMatrix(state.cutoffs, state.data).min_eigenvalue()
+    assert low == pytest.approx(dense, abs=1e-15)
+
+
+def test_product_min_eigenvalue_builds_no_dense_matrix():
+    state = catalog.make_ghz(12)
+    assert state.min_eigenvalue() == 0.0
+    assert state._data is None

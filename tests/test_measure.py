@@ -267,6 +267,15 @@ def test_exact_radial_rule_matches_operator_on_the_catalog(make):
     assert res.value == pytest.approx(measure_operator(state).value, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [380, 450])
+def test_exact_radial_rule_measures_high_fock_states(n):
+    # the outer nodes reach r^2 ~ 4n, where the displacement recurrence's
+    # seeds lie below the float range
+    res = measure_char_quadrature(phasespace.char_of(catalog.make_fock(n, n + 1)))
+    assert res.value == pytest.approx(n, abs=1e-10)
+    assert res.err_estimate < 1e-10
+
+
 def test_exact_radial_rule_flags_weight_past_its_levels():
     # a chi whose levels undercount its state has a purity the rule cannot
     # close, so the route fails loudly instead of returning the truncated sum
