@@ -9,6 +9,11 @@ with eta = e^-tau, A_m(rho) = a_m rho a_m^dag and N the total number
 operator (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).  It holds exactly
 on the truncated space, for any real tau.  The terms A^k rho / k! of the
 series do not depend on tau, so one series serves every time of a request.
+A^k rho vanishes in every row and column of total occupation above K - k,
+so each power is computed, and summed, over its leading block only.  An
+input state is checked for positivity by one Cholesky factorization, kept
+on the state, and the recorded states, Hermitian by construction, skip the
+Hermiticity test of the public constructor.
 """
 
 from __future__ import annotations
@@ -44,52 +49,76 @@ def lindblad_rhs(rho: np.ndarray, cutoffs: ModeCutoffs) -> np.ndarray:
 
 
 def _next_power(term: np.ndarray, k: int, shifts, out: np.ndarray,
-                scratch: np.ndarray) -> None:
-    """Write A term / k into out, one 2-D shift per mode.
+                scratch: np.ndarray, rows: int) -> None:
+    """Write A term / k into out[:rows, :rows], one 2-D shift per mode.
 
-    Only out[:n-R, :n-R] is written, R the stride of ``shifts[0]``; out must
-    be zero outside it.  ``scratch`` holds the weighted shift of every mode
-    but the first before it is added.
+    ``rows`` is at most n - R, R the stride of ``shifts[0]``, and bounds the
+    support of A term; out must be zero outside out[:rows, :rows].  Each
+    shift of stride R' writes its block out[:c, :c], c = min(rows, n - R').
+    ``scratch`` holds the weighted shift of every mode but the first before
+    it is added.
     """
-    n = term.shape[0]
     stride, weights = shifts[0]
-    head = out[:n - stride, :n - stride]
-    np.multiply(weights, term[stride:, stride:], out=head)
+    head = out[:rows, :rows]
+    np.multiply(weights[:rows, :rows], term[stride:stride + rows, stride:stride + rows],
+                out=head)
+    n = term.shape[0]
     for stride, weights in shifts[1:]:
-        part = scratch[:(n - stride) ** 2].reshape(n - stride, n - stride)
-        np.multiply(weights, term[stride:, stride:], out=part)
-        out[:n - stride, :n - stride] += part
+        c = min(rows, n - stride)
+        part = scratch[:c * c].reshape(c, c)
+        np.multiply(weights[:c, :c], term[stride:stride + c, stride:stride + c], out=part)
+        out[:c, :c] += part
     head *= 1.0 / k
 
 
+def _support_rows(cutoffs: ModeCutoffs) -> np.ndarray:
+    """rows[t] = 1 + the largest flat index whose total occupation is at most t.
+
+    One pass over the basis: the last index of each occupation, then their
+    running maximum.  A^k x vanishes outside its leading rows[K - k] rows and
+    columns, since A lowers the total occupation by one.
+    """
+    occ = number_diagonal(cutoffs).astype(np.intp)
+    last = np.zeros(int(occ[-1]) + 1, dtype=np.intp)
+    np.maximum.at(last, occ, np.arange(1, occ.size + 1))
+    return np.maximum.accumulate(last)
+
+
 def _powers(x: np.ndarray, cutoffs: ModeCutoffs, ring: np.ndarray):
-    """Write A^k x / k! into ring[k % len(ring)] for k = 0, ..., K, yielding each k.
+    """Write A^k x / k! into ring[k % len(ring)] for k = 0, ..., K, yielding (k, rows).
 
     A = sum_m A_m lowers the total occupation by one, so A^k vanishes past
-    K = sum_m (d_m - 1).  ``ring`` is a zeroed stack of at least two matrices
-    of the shape and dtype of x.  Each power is one ``_next_power`` of the one
-    before: the weights of the shifts are built once for the series, and
-    nothing is allocated or zeroed per power, except that the rows and
-    columns no shift writes are cleared once in the slot x held.
+    K = sum_m (d_m - 1), and A^k x outside its leading ``rows`` rows and
+    columns (``_support_rows``).  ``ring`` is a zeroed stack of at least two
+    matrices of the shape and dtype of x.  Each power is one ``_next_power``
+    of the one before, over that leading block only: the weights of the
+    shifts are built once for the series, and nothing is allocated per
+    power.  A slot is kept zero outside the block of the power it holds, so
+    a reused slot is cleared only between its old and its new block.
     """
     ring[0] = x
-    yield 0
-    size = len(ring)
+    n = x.shape[0]
+    yield 0, n
     # smallest stride first: its block [:n-R, :n-R] holds those of the others
     shifts = [shift_weights(cutoffs, m) for m in reversed(range(cutoffs.modes))
               if cutoffs.cutoffs[m] > 1]
     if not shifts:
         return
-    n = x.shape[0]
+    support = _support_rows(cutoffs)
+    top = len(support) - 1
     edge = n - shifts[0][0]
+    held = [n] + [0] * (len(ring) - 1)
     scratch = np.empty((n - shifts[1][0]) ** 2 if len(shifts) > 1 else 0, dtype=x.dtype)
-    for k in range(1, sum(cutoffs.cutoffs) - cutoffs.modes + 1):
-        out = ring[k % size]
-        if k == size:
-            out[edge:] = 0.0
-            out[:edge, edge:] = 0.0
-        _next_power(ring[(k - 1) % size], k, shifts, out, scratch)
-        yield k
+    for k in range(1, top + 1):
+        slot = k % len(ring)
+        out, old = ring[slot], held[slot]
+        rows = min(int(support[top - k]), edge)
+        if old > rows:
+            out[rows:old, :old] = 0.0
+            out[:rows, rows:old] = 0.0
+        held[slot] = rows
+        _next_power(ring[(k - 1) % len(ring)], k, shifts, out, scratch, rows)
+        yield k, rows
 
 
 def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
@@ -100,7 +129,8 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
     of len(taus) matrices of its dtype.  ``_powers`` writes the powers of A
     straight into a block of at most ``_BLOCK_BYTES``, and each full block is
     summed into out as real matrix products over column strips, so no
-    temporary outgrows a strip.
+    temporary outgrows a strip.  The powers of a block vanish past the
+    leading rows of its first power, so a product reads only those.
     """
     size = sum(cutoffs.cutoffs) - cutoffs.modes + 1
     coef = (-np.expm1(-taus))[:, None] ** np.arange(size)  # (1 - eta)^k
@@ -111,13 +141,16 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
     flat_ring = ring.reshape(len(ring), -1).view(np.float64)
     flat_out = out.reshape(taus.size, -1).view(np.float64)
     flat_out[:] = 0.0
-    for k in _powers(x, cutoffs, ring):
+    row = flat_out.shape[1] // x.shape[0]  # floats per matrix row
+    for k, rows in _powers(x, cutoffs, ring):
         j = k % per
+        if j == 0:
+            width = rows * row
         if j == per - 1 or k == size - 1:
             w = coef[:, k - j:k + 1]
             slot = k % len(ring)
-            for c0 in range(0, flat_out.shape[1], _STRIP):
-                cols = slice(c0, c0 + _STRIP)
+            for c0 in range(0, width, _STRIP):
+                cols = slice(c0, min(c0 + _STRIP, width))
                 flat_out[:, cols] += w @ flat_ring[slot - j:slot + 1, cols]
     s = np.exp(-0.5 * taus[:, None] * number_diagonal(cutoffs))
     out *= s[:, :, None]
@@ -194,9 +227,9 @@ def _checked_times(state: DensityMatrix, record_times) -> np.ndarray:
         raise ValueError("need at least one record time")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("record times must be nonnegative and ascending")
-    low = state.min_eigenvalue()
-    if low < POSITIVITY_FLOOR:
-        raise RuntimeError(f"input state is not positive (smallest eigenvalue {low:.3e})")
+    if not state.clears_floor(POSITIVITY_FLOOR):
+        raise RuntimeError("input state is not positive "
+                           f"(smallest eigenvalue {state.min_eigenvalue():.3e})")
     return times
 
 
@@ -214,7 +247,7 @@ def evolve(state: DensityMatrix, record_times, step=None) -> list[TrajectoryPoin
     out = []
     for start, stack in _packed_batches(state, times):
         for tau, packed in zip(times[start:], stack):
-            point = DensityMatrix(cut, _unpacked(packed))
+            point = DensityMatrix._from_hermitian(cut, _unpacked(packed))
             res = measure_operator(point)
             out.append(TrajectoryPoint(tau=float(tau), state=point, value=res.value,
                                        purity=res.purity, mean_n=res.mean_n))
@@ -243,7 +276,7 @@ def purity_rate_residuals(state: DensityMatrix, taus, step=None) -> np.ndarray:
         ps[start:start + len(stack)] = np.einsum("tij,tij->t", stack, stack)
         for i in range(start, start + len(stack)):
             if i % 5 == 2:
-                point = DensityMatrix(cut, _unpacked(stack[i - start]))
+                point = DensityMatrix._from_hermitian(cut, _unpacked(stack[i - start]))
                 values[i // 5] = measure_operator(point).value
     ps = ps.reshape(-1, 5)
     dp = (-ps[:, 4] + 8.0 * ps[:, 3] - 8.0 * ps[:, 1] + ps[:, 0]) / (12.0 * h)

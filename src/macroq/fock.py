@@ -125,10 +125,11 @@ class DensityMatrix:
     Hermitian part.  ``DensityMatrix.product(terms, coeff)`` keeps a rank-r
     superposition or mixture of M-mode product kets as ``kets`` and
     ``coeff``, which are None on a dense state.  A product state's
-    ``factors``, rho = V C V^H, are built from its kets on first read;
-    ``mean_number``, ``purity`` and the operator route work on them in
-    O(dim r^2).  Its dense ``data`` is built from the factors on first read
-    and cached, and raises ValueError above ``MAX_DENSE_DIM``.
+    ``factors``, rho = V C V^H, are built from its kets on first read, and
+    the operator route works on them in O(dim r^2); ``mean_number``,
+    ``purity`` and ``min_eigenvalue`` need only the kets' r x r overlaps.
+    Its dense ``data`` is built from the factors on first read and cached,
+    and raises ValueError above ``MAX_DENSE_DIM``.
     """
 
     def __init__(self, cutoffs, data):
@@ -159,6 +160,30 @@ class DensityMatrix:
         rho /= tr
         self._data = rho
         self._min_eigenvalue = None
+        self._floor_checks = {}
+
+    @classmethod
+    def _from_hermitian(cls, cutoffs: ModeCutoffs, rho: np.ndarray) -> DensityMatrix:
+        """The state of a new, exactly Hermitian dim x dim complex matrix, taken over.
+
+        For matrices Hermitian by construction: the Hermiticity test and the
+        Hermitian part of the public constructor are skipped, which on such a
+        matrix would return it bit for bit.  The trace must be finite and
+        positive; rho is divided by it in place.
+        """
+        tr = float(rho.trace().real)
+        if not np.isfinite(tr):
+            raise ValueError(f"trace {tr!r} is not finite")
+        if not tr > 0.0:
+            raise ValueError(f"trace {tr!r} is not positive")
+        rho /= tr
+        self = cls.__new__(cls)
+        self.cutoffs = cutoffs
+        self.kets = self.coeff = None
+        self._data = rho
+        self._min_eigenvalue = None
+        self._floor_checks = {}
+        return self
 
     @classmethod
     def product(cls, terms, coeff) -> DensityMatrix:
@@ -208,6 +233,7 @@ class DensityMatrix:
         self.kets, self.coeff = kets, coeff / tr
         self._data = None
         self._min_eigenvalue = None
+        self._floor_checks = {}
         return self
 
     @classmethod
@@ -266,17 +292,16 @@ class DensityMatrix:
         return self.cutoffs.modes
 
     def mean_number(self) -> float:
-        n = number_diagonal(self.cutoffs)
-        if self.factors is None:
-            return float(np.real(self.data.diagonal() @ n))
-        V, C = self.factors
-        return _trace_product(C, V.conj().T @ (n[:, None] * V))
+        """Tr(rho N); for a product state Tr(C X), X of ``_ket_number``."""
+        if self.kets is not None:
+            return _trace_product(self.coeff, _ket_number(self.kets))
+        return float(np.real(self.data.diagonal() @ number_diagonal(self.cutoffs)))
 
     def purity(self) -> float:
-        if self.factors is not None:
-            V, C = self.factors
-            gram = V.conj().T @ V
-            return _trace_product(C @ gram, C @ gram)
+        """Tr(rho^2); for a product state Tr(C G C G), G the Gram matrix of its terms."""
+        if self.kets is not None:
+            cg = self.coeff @ _ket_gram(self.kets)
+            return _trace_product(cg, cg)
         # Tr(rho^2) = sum_ij |rho_ij|^2 because data is Hermitian; the float
         # view gives that sum without a transpose or a temporary
         flat = np.ascontiguousarray(self.data).view(np.float64)
@@ -298,6 +323,28 @@ class DensityMatrix:
                     low = min(low, 0.0)
             self._min_eigenvalue = low
         return self._min_eigenvalue
+
+    def clears_floor(self, floor: float) -> bool:
+        """Whether the smallest eigenvalue is at least ``floor``, decided once per floor.
+
+        A dense state asks for one Cholesky factorization of rho - floor I,
+        which succeeds when rho - floor I is positive definite; only when it
+        fails is the smallest eigenvalue computed, which then decides.  A
+        product state, or one whose smallest eigenvalue is known, compares
+        that eigenvalue.
+        """
+        if floor not in self._floor_checks:
+            clear = False
+            if self.kets is None and self._min_eigenvalue is None:
+                shifted = self.data.copy()
+                shifted.flat[::self.dim + 1] -= floor
+                try:
+                    np.linalg.cholesky(shifted)
+                    clear = True
+                except np.linalg.LinAlgError:
+                    pass
+            self._floor_checks[floor] = clear or self.min_eigenvalue() >= floor
+        return self._floor_checks[floor]
 
 
 def _stack_kets(terms) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -327,6 +374,23 @@ def _ket_gram(kets: np.ndarray) -> np.ndarray:
     """G_ij = <Psi_i|Psi_j> of the product kets ``kets[m, i]``: the product over
     the modes of the per-mode Gram matrices."""
     return np.prod(kets.conj() @ kets.transpose(0, 2, 1), axis=0)
+
+
+def _ket_number(kets: np.ndarray) -> np.ndarray:
+    """X_ij = <Psi_i| N |Psi_j> of the product kets ``kets[m, i]``, N the total number.
+
+    Mode m contributes its matrix elements of n times the overlaps of all
+    the other modes, the product of a prefix and a suffix of the per-mode
+    Gram matrices, so no overlap is divided by and nothing dim-sized is
+    built: O(M r^2 d_max) in all.
+    """
+    ket_t = kets.transpose(0, 2, 1)
+    grams = kets.conj() @ ket_t
+    numbers = (kets.conj() * np.arange(kets.shape[2])) @ ket_t
+    others = np.ones_like(grams)
+    np.cumprod(grams[:-1], axis=0, out=others[1:])
+    others[:-1] *= np.cumprod(grams[:0:-1], axis=0)[::-1]
+    return (others * numbers).sum(axis=0)
 
 
 def _trace_product(x: np.ndarray, y: np.ndarray) -> float:

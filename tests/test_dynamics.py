@@ -10,7 +10,8 @@ from scipy.linalg import expm
 
 from macroq import catalog, dynamics
 from macroq.dynamics import damp, evolve, lindblad_rhs, purity_rate_residuals
-from macroq.fock import DensityMatrix, ModeCutoffs, annihilation_op, as_cutoffs
+from macroq.fock import (DensityMatrix, ModeCutoffs, annihilation_op, as_cutoffs,
+                         number_diagonal, shift_weights)
 from macroq.measure import measure_operator
 
 
@@ -148,6 +149,60 @@ def test_shift_series_with_a_one_level_middle_mode(monkeypatch, per):
         assert np.abs(got - damp(rho, cut, tau)).max() < 1e-15
 
 
+def _untrimmed_series_sum(x, cut, taus, per):
+    """The series of ``dynamics._series_sum`` over whole matrices, ``per`` powers
+    to a block: every shift writes its full block out[:n-R, :n-R] and every
+    block product reads all the columns, strip by strip."""
+    size = sum(cut.cutoffs) - cut.modes + 1
+    coef = (-np.expm1(-taus))[:, None] ** np.arange(size)
+    n = x.shape[0]
+    shifts = [shift_weights(cut, m) for m in reversed(range(cut.modes)) if cut.cutoffs[m] > 1]
+    ring = np.zeros((max(per, 2),) + x.shape, dtype=x.dtype)
+    ring[0] = x
+    out = np.zeros((taus.size,) + x.shape, dtype=x.dtype)
+    flat_ring = ring.reshape(len(ring), -1).view(np.float64)
+    flat_out = out.reshape(taus.size, -1).view(np.float64)
+    for k in range(size):
+        slot = k % len(ring)
+        if k:
+            term, power = ring[(k - 1) % len(ring)], ring[slot]
+            power[:] = 0.0
+            stride, weights = shifts[0]
+            head = power[:n - stride, :n - stride]
+            np.multiply(weights, term[stride:, stride:], out=head)
+            for stride, weights in shifts[1:]:
+                power[:n - stride, :n - stride] += weights * term[stride:, stride:]
+            head *= 1.0 / k
+        j = k % per
+        if j == per - 1 or k == size - 1:
+            for c0 in range(0, flat_out.shape[1], dynamics._STRIP):
+                cols = slice(c0, c0 + dynamics._STRIP)
+                flat_out[:, cols] += coef[:, k - j:k + 1] @ flat_ring[slot - j:slot + 1, cols]
+    s = np.exp(-0.5 * taus[:, None] * number_diagonal(cut))
+    out *= s[:, :, None]
+    out *= s[:, None, :]
+    return out
+
+
+@pytest.mark.parametrize("per", [1, 2, None])
+@pytest.mark.parametrize("cutoffs", [(40,), (14, 14), (17, 17), (3, 1, 5), (2, 7, 3)])
+def test_trimmed_series_matches_the_untrimmed_one(monkeypatch, cutoffs, per):
+    # each power is shifted and summed over its support only; the result is
+    # the untrimmed series bit for bit, complex and packed, for either sign of tau
+    cut = ModeCutoffs(cutoffs)
+    d = cut.dim
+    size = sum(cutoffs) - len(cutoffs) + 1
+    rho = _random_state(cut, 13).data
+    taus = np.array([-0.02, 0.0, 0.25, 1.0])
+    block = size if per is None else per
+    for x in (rho.real + rho.imag, rho):
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", block * x.nbytes)
+        want = _untrimmed_series_sum(x, cut, taus, block)
+        out = np.empty((taus.size, d, d), dtype=x.dtype)
+        assert np.array_equal(dynamics._series_sum(x, cut, taus, out), want)
+    assert np.array_equal(damp(rho, cut, taus), want)
+
+
 def test_evolve_states_match_damp_on_a_complex_state():
     # evolve runs the series on the real packing Re rho + Im rho of the state
     state = _random_state(ModeCutoffs((4, 3)), 7)
@@ -251,14 +306,21 @@ def test_purity_rate_identity_on_thermal():
     assert resid[0] < 1e-6
 
 
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda a: calls.append(a) or real(a))
+    return calls
+
+
 def test_evolve_and_residuals_check_positivity_once(monkeypatch):
     state = catalog.make_scs(1.0, 12)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    factorizations = _counted(monkeypatch, "cholesky")
+    spectra = _counted(monkeypatch, "eigvalsh")
     traj = evolve(state, [0.0, 0.5])
     purity_rate_residuals(state, [0.5])
-    assert len(calls) == 1
+    # one factorization for both, and no eigenvalues of a positive state
+    assert len(factorizations) == 1 and not spectra
     # each point's purity and occupation are those of its state
     for p in traj:
         assert p.purity == p.state.purity() and p.mean_n == p.state.mean_number()
@@ -275,6 +337,43 @@ def test_evolve_rejects_unphysical_drift():
     with pytest.raises(RuntimeError):
         evolve(DensityMatrix(2, np.diag([-2e-9, 1.0])), [0.1])
     evolve(DensityMatrix(2, np.diag([-5e-10, 1.0])), [0.1])
+
+
+def _state_with_spectrum(cut, low, seed):
+    """A dense state with smallest eigenvalue ``low`` in a random basis."""
+    rng = np.random.default_rng(seed)
+    d = cut.dim
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    spec = rng.uniform(0.5, 1.5, d)
+    spec *= (1.0 - low) / spec[1:].sum()
+    spec[0] = low
+    return DensityMatrix(cut, (q * spec) @ q.conj().T)
+
+
+def test_positivity_floor_at_dim_289(monkeypatch):
+    cut = ModeCutoffs((17, 17))
+    bad = _state_with_spectrum(cut, -2e-9, 1)
+    with pytest.raises(RuntimeError, match=r"smallest eigenvalue -2\.000e-09"):
+        evolve(bad, [0.1])
+    evolve(_state_with_spectrum(cut, -5e-10, 2), [0.1])
+    # a pure two-mode cat: its smallest eigenvalue is zero up to rounding
+    spectra = _counted(monkeypatch, "eigvalsh")
+    cats = [catalog.make_scs(a, 17).data for a in (1.1, 1.2)]
+    evolve(DensityMatrix(cut, np.kron(*cats)), [0.1])
+    assert not spectra
+
+
+def test_evolve_points_equal_those_of_the_public_constructor():
+    # the points skip the Hermitian part of DensityMatrix, which on the
+    # exactly Hermitian unpacked matrix changes no bit
+    state = _random_state(ModeCutoffs((4, 3)), 17)
+    taus = np.array([0.0, 0.1, 0.7, 3.0])
+    (_, stack), = dynamics._packed_batches(state, taus)
+    for point, packed in zip(evolve(state, taus), stack):
+        public = DensityMatrix(state.cutoffs, dynamics._unpacked(packed))
+        res = measure_operator(public)
+        assert np.array_equal(point.state.data, public.data)
+        assert (point.value, point.purity, point.mean_n) == (res.value, res.purity, res.mean_n)
 
 
 def test_cat_decoherence_demo_meets_identity(capsys):

@@ -319,3 +319,33 @@ def test_product_min_eigenvalue_builds_no_dense_matrix():
     state = catalog.make_ghz(12)
     assert state.min_eigenvalue() == 0.0
     assert state._data is None
+
+
+def test_product_moments_of_forty_modes_build_nothing_dim_sized():
+    # dim 2^40: the occupation and purity come from r x r overlaps alone
+    ghz = catalog.make_ghz(40)
+    assert ghz.mean_number() == 20
+    assert ghz.purity() == 1
+    # the normalization in DensityMatrix.product leaves a rounding of a few ulps
+    assert catalog.make_dur(40, 0.3).purity() == pytest.approx(1.0, abs=1e-15)
+    assert "factors" not in ghz.__dict__ and ghz._data is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.make_ghz(1),
+    lambda: catalog.make_ghz(10),
+    lambda: catalog.make_noon(1),
+    lambda: catalog.make_noon(5),
+    lambda: catalog.make_dur(3, 0.7),
+    lambda: catalog.make_dur(10, 0.3),
+    lambda: _random_mixture(3, 3, 4, 5),
+    lambda: _random_mixture(1, 6, 3, 8),
+], ids=["ghz1", "ghz10", "noon1", "noon5", "dur3", "dur10", "mixture-3x3", "mixture-1-mode"])
+def test_product_moments_match_dense(make):
+    state = make()
+    mean, purity = state.mean_number(), state.purity()
+    assert "factors" not in state.__dict__ and state._data is None
+    data = state.data
+    assert mean == pytest.approx(float(np.real(data.diagonal() @ number_diagonal(state.cutoffs))),
+                                 abs=1e-12)
+    assert purity == pytest.approx(float(np.sum(np.abs(data) ** 2)), abs=1e-12)
