@@ -436,51 +436,46 @@ def annihilation_op(cutoffs, mode: int = 0) -> np.ndarray:
     return out.astype(complex)
 
 
+def _ladder(cutoffs: ModeCutoffs, mode: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Where mode m sits in the flat index i, and how a_m moves it.
+
+    Mode m has stride R = d_{m+1} ... d_{M-1} and level i // R % d_m at
+    index i.  a_m takes index i + R to i with weight w_i = sqrt(level + 1),
+    which is zero on the top level, where the shift would wrap into the next
+    block of the modes before m; so w vanishes on the last R indices.
+    Returns R and the levels and weights of all dim indices.
+    """
+    dims = cutoffs.cutoffs
+    d = dims[mode]
+    stride = math.prod(dims[mode + 1:])
+    weight = np.sqrt(np.arange(1.0, d + 1.0))
+    weight[-1] = 0.0
+    # i // R % d without integer division: each level R times, d levels a block
+    level = np.tile(np.repeat(np.arange(d), stride), cutoffs.dim // (d * stride))
+    return stride, level, weight[level]
+
+
 def number_diagonal(cutoffs, mode: int | None = None) -> np.ndarray:
     """Diagonal of the number operator (one mode, or the total when mode is None)."""
     cutoffs = as_cutoffs(cutoffs)
     modes = range(cutoffs.modes) if mode is None else [mode]
-    total = np.zeros(cutoffs.dim)
-    for m in modes:
-        per = np.arange(cutoffs.cutoffs[m], dtype=float)
-        shape = [1] * cutoffs.modes
-        shape[m] = cutoffs.cutoffs[m]
-        total += np.broadcast_to(per.reshape(shape), cutoffs.cutoffs).ravel()
-    return total
+    return sum(_ladder(cutoffs, m)[1] for m in modes).astype(float)
 
 
 def number_op(cutoffs) -> np.ndarray:
     return np.diag(number_diagonal(cutoffs)).astype(complex)
 
 
-def mode_view(rho: np.ndarray, cutoffs, mode: int) -> np.ndarray:
-    """View a C-contiguous dim x dim array as (L, d, R, L, d, R), without a copy.
-
-    Axes 1 and 4 carry the occupation of ``mode`` in the row and the column
-    index; L and R are the dimensions of the modes before and after it.
-    """
-    if not rho.flags.c_contiguous:
-        raise ValueError("mode_view needs a C-contiguous array")
-    dims = as_cutoffs(cutoffs).cutoffs
-    d = dims[mode]
-    left, right = math.prod(dims[:mode]), math.prod(dims[mode + 1:])
-    return rho.reshape(left, d, right, left, d, right)
-
-
 def shift_weights(cutoffs, mode: int) -> tuple[int, np.ndarray]:
     """The stride R and the weights W that write a_m rho a_m^dag as one 2-D shift.
 
-    Raising mode m by one level adds R = d_{m+1} ... d_{M-1} to the flat
-    index, so (a_m rho a_m^dag)[:n-R, :n-R] = W * rho[R:, R:] and the rest
-    is zero.  W is the outer product of w_i = sqrt(level_m(i) + 1), with w
-    zeroed on the top level of mode m, where the shift wraps into the next
-    block of the modes before it.  W holds (n - R)^2 floats.
+    With R and w of ``_ladder``, (a_m rho a_m^dag)[:n-R, :n-R] = W * rho[R:, R:]
+    and the rest is zero; W is the outer product of w[:n-R] with itself and
+    holds (n - R)^2 floats.
     """
-    dims = as_cutoffs(cutoffs).cutoffs
-    d = dims[mode]
-    stride = math.prod(dims[mode + 1:])
-    level = np.arange(math.prod(dims) - stride) // stride % d
-    w = np.where(level < d - 1, np.sqrt(level + 1.0), 0.0)
+    cutoffs = as_cutoffs(cutoffs)
+    stride, _, w = _ladder(cutoffs, mode)
+    w = w[:cutoffs.dim - stride]
     return stride, np.multiply.outer(w, w)
 
 
@@ -500,49 +495,34 @@ def a_rho_adag(rho: np.ndarray, cutoffs, mode: int) -> np.ndarray:
 
 
 def exchange_trace(rho: np.ndarray, cutoffs, mode: int) -> float:
-    """Tr(a_m rho a_m^dag rho) for a Hermitian rho, read from shifted views of rho.
+    """Tr(a_m rho a_m^dag rho) for a Hermitian rho, as one 2-D shift of rho.
 
-    With rho_ji = conj(rho_ij) the trace is
-    sum_ij w_i w_j Re(rho[.., i+1, ..; .., j+1, ..] conj(rho[.., i, ..; .., j, ..]))
-    with w_i = sqrt(i+1), taken over the (L, d, R, L, d, R) view of
-    ``mode_view``.  Rows are shifted by one level inside each of the L
-    blocks.  Columns are shifted by R in the flat index, which keeps the
-    contiguous runs long; the weight vanishes on the top level j = d-1, which
-    removes the terms that this shift wraps into the next block.  The real
-    part comes from the float view of rho, so nothing is conjugated or copied.
+    With the stride R and the weights w of ``_ladder`` and rho_ji =
+    conj(rho_ij), the trace is sum_i w_i sum_y w_y Re(rho[i+R, y+R]
+    conj(rho[i, y])) over i, y < dim - R.  The real part is read from the
+    float view of rho, where it is the sum of the products of the real and
+    of the imaginary parts, so nothing is conjugated, and a C-contiguous
+    complex rho is not copied.
     """
-    cut = as_cutoffs(cutoffs)
-    view = mode_view(np.ascontiguousarray(rho, dtype=complex), cut, mode)
-    left, d, right = view.shape[:3]
-    if d == 1:
-        return 0.0
-    dim = cut.dim
-    level = (np.arange(dim - right) // right) % d
-    col_w = np.repeat(np.where(level < d - 1, np.sqrt(level + 1.0), 0.0), 2)
-    row_w = np.repeat(np.sqrt(np.arange(1.0, d)), right)
-    flat = view.reshape(left, d * right, dim).view(np.float64)
-    upper = flat[:, right:, 2 * right:]
-    lower = flat[:, :-right, :-2 * right]
-    return float(np.einsum("lry,lry,y->r", upper, lower, col_w) @ row_w)
+    cutoffs = as_cutoffs(cutoffs)
+    stride, _, w = _ladder(cutoffs, mode)
+    n = cutoffs.dim - stride
+    w = w[:n]
+    flat = np.ascontiguousarray(rho, dtype=complex).view(np.float64)
+    upper, lower = flat[stride:, 2 * stride:], flat[:n, :2 * n]
+    return float(np.einsum("iy,iy,y->i", upper, lower, np.repeat(w, 2)) @ w)
 
 
 def factored_exchange_trace(V: np.ndarray, C: np.ndarray, cutoffs, mode: int) -> float:
     """Tr(a_m rho a_m^dag rho) for rho = V C V^H, as Tr(A C A^H C) with A = V^H a_m V.
 
-    a_m V is the index shift on the (L, d, R, r) view of V: level k takes
-    sqrt(k+1) times level k+1, and the top level is left empty.  So A costs
-    O(dim r^2) and the trace is r x r algebra.
+    a_m V is the shift of ``_ladder`` on the rows of V, so
+    A = V[:n-R]^H (w * V[R:]) costs O(dim r^2) and the trace is r x r algebra.
     """
-    dims = as_cutoffs(cutoffs).cutoffs
-    d = dims[mode]
-    if d == 1:
-        return 0.0
-    r = V.shape[1]
-    view = V.reshape(int(np.prod(dims[:mode])), d, -1, r)
-    w = np.sqrt(np.arange(1.0, d))[:, None, None]
-    lower = view[:, :-1].reshape(-1, r)
-    shifted = (view[:, 1:] * w).reshape(-1, r)
-    A = lower.conj().T @ shifted
+    cutoffs = as_cutoffs(cutoffs)
+    stride, _, w = _ladder(cutoffs, mode)
+    n = cutoffs.dim - stride
+    A = V[:n].conj().T @ (w[:n, None] * V[stride:])
     return _trace_product(A @ C, A.conj().T @ C)
 
 

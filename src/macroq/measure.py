@@ -25,7 +25,8 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from . import phasespace
-from .fock import DensityMatrix, exchange_trace, factored_exchange_trace, number_diagonal
+from .fock import (DensityMatrix, _displaced_columns, _ladder, exchange_trace,
+                   factored_exchange_trace, number_diagonal)
 
 class ConvergenceError(RuntimeError):
     """Quadrature failed to meet tolerance; .partial holds the best estimate."""
@@ -69,11 +70,13 @@ def measure_operator(state: DensityMatrix) -> MeasureResult:
     into itself and the product form spans exactly that space.
 
     A dense state takes index shifts, O(modes dim^2), relying on the exactly
-    Hermitian ``data`` that ``DensityMatrix`` guarantees: Tr(rho^2 n_m) is
-    read as sum_j n_m(j) sum_i |rho_ij|^2 and the exchange term from shifted
-    views of rho (``exchange_trace``), so rho is never transposed or copied.
-    Its err_estimate is a truncation heuristic driven by the population of the
-    top Fock level; it is zero for states that genuinely fit the cutoff.
+    Hermitian ``data`` that ``DensityMatrix`` guarantees: sum_m Tr(rho^2 n_m)
+    is read as sum_j n(j) sum_i |rho_ij|^2 for the total number n, and each
+    exchange term as one 2-D shift of rho by the mode's stride
+    (``exchange_trace``), so rho is never transposed or copied.  Its
+    err_estimate is a truncation heuristic driven by the population on the
+    top level of any mode with more than one level; it is zero for states
+    that genuinely fit the cutoff.
     """
     cut = state.cutoffs
     if state.factors is not None:
@@ -89,21 +92,16 @@ def measure_operator(state: DensityMatrix) -> MeasureResult:
     flat = rho.view(np.float64)
     # (rho^2)_jj = sum_i |rho_ij|^2, the squared norm of row j for Hermitian rho
     second = np.einsum("ij,ij->i", flat, flat)
-    value = 0.0
-    for m in range(cut.modes):
-        nd = number_diagonal(cut, mode=m)
-        exchange = exchange_trace(rho, cut, m)
-        value += float(second @ nd) - exchange
+    number = number_diagonal(cut)
+    value = float(second @ number) - sum(exchange_trace(rho, cut, m) for m in range(cut.modes))
 
-    top = np.zeros(cut.cutoffs, dtype=bool)
+    # a one-level mode is never truncated, so its only level is not a top one
+    top = np.zeros(cut.dim, dtype=bool)
     for m, d in enumerate(cut.cutoffs):
-        idx = [slice(None)] * cut.modes
-        idx[m] = d - 1
-        top[tuple(idx)] = True
-    pops = rho.diagonal().real
-    p_top = float(pops[top.ravel()].sum())
-    n_top = float(number_diagonal(cut).max())
-    err = 2.0 * p_top * (n_top + 1.0)
+        if d > 1:
+            top |= _ladder(cut, m)[1] == d - 1
+    p_top = float(rho.diagonal().real[top].sum())
+    err = 2.0 * p_top * (number.max() + 1.0)
     warns = ()
     if p_top > 1e-8:
         warns = (f"top Fock level holds population {p_top:.3e}; "
@@ -241,32 +239,6 @@ def _mean_n_from_char(chi) -> float:
     return (4.0 * e2 - e1) / 3.0
 
 
-def _laguerre_sums(n: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return sum_{k<n} l_k(u)^2 and the Newton step L_n(u) / L_n'(u).
-
-    l_k = L_k e^{-u/2} are the Laguerre functions, bounded by 1 for u >= 0.
-    The three-term recurrence runs on L_k with e^{-u/2} kept as a logarithm,
-    and a point whose L_k grows past 1e100 is scaled back into that factor,
-    as in ``phasespace._hermite_functions``, so nothing leaves the float range
-    at large u or n.  L_n' = n (L_n - L_{n-1}) / u, so the step is a ratio of
-    values on one scale.
-    """
-    log_g = -0.5 * u
-    g = np.exp(log_g)
-    prev, cur = np.zeros(u.size), np.ones(u.size)
-    total = np.zeros(u.size)
-    for k in range(n):
-        total += (cur * g) ** 2
-        prev, cur = cur, ((2.0 * k + 1.0 - u) * cur - k * prev) / (k + 1.0)
-        big = np.abs(cur) > 1e100
-        if big.any():
-            cur[big] *= 1e-100
-            prev[big] *= 1e-100
-            log_g[big] += 100.0 * np.log(10.0)
-            g = np.exp(log_g)
-    return total, u * cur / (n * (cur - prev))
-
-
 @functools.lru_cache(maxsize=None)
 def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u_i and scaled weights w_i e^{u_i} of the n-point Gauss-Laguerre rule.
@@ -276,15 +248,27 @@ def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues of the Jacobi matrix of the Laguerre recurrence (diagonal
     2k + 1, off-diagonal k), polished by one Newton step on L_n, and the
     weights are Christoffel numbers (Golub and Welsch, Math. Comp. 23, 221
-    (1969)), w_i e^{u_i} = 1 / sum_{k<n} l_k(u_i)^2.  Unlike
+    (1969)), w_i e^{u_i} = 1 / sum_{k<n} l_k(u_i)^2.  The Laguerre functions
+    l_k = L_k e^{-u/2} = <k|D(sqrt u)|k> come from the bounded recurrence of
+    ``fock._displaced_columns`` on its main diagonal, and L_n' = n (L_n -
+    L_{n-1}) / u makes the step a ratio of them.  Unlike
     ``numpy.polynomial.laguerre.laggauss``, whose unscaled weights underflow
     to NaN from about n = 200 on, nothing here leaves the float range.
     """
+    def sums(u):
+        # sum_{k<n} l_k(u)^2 and the Newton step L_n / L_n'
+        total = np.zeros(n)
+        for k, f in _displaced_columns(np.sqrt(u), [0], [n + 1]):
+            if k == n:
+                return total, u * f[0] / (n * (f[0] - prev))
+            total += f[0] ** 2
+            prev = f[0].copy()
+
     off = np.arange(1.0, n)
     jacobi = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     u = np.linalg.eigvalsh(jacobi)
-    u -= _laguerre_sums(n, u)[1]
-    scaled = 1.0 / _laguerre_sums(n, u)[0]
+    u -= sums(u)[1]
+    scaled = 1.0 / sums(u)[0]
     u.flags.writeable = scaled.flags.writeable = False
     return u, scaled
 

@@ -177,7 +177,7 @@ def _random_factored(dims, rank, seed):
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
-@pytest.mark.parametrize("dims", [(3, 1, 4), (2, 2, 2, 2)])
+@pytest.mark.parametrize("dims", [(3, 1, 4), (2, 2, 2, 2), (4, 1)])
 def test_factored_operator_route_matches_dense(dims, rank):
     factored = _random_factored(dims, rank, seed=rank + len(dims))
     low = measure_operator(factored)

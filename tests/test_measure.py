@@ -81,6 +81,18 @@ def test_operator_route_warns_on_top_population():
     assert any("population" in w for w in res.warnings)
 
 
+def test_operator_route_sees_no_top_level_on_one_level_modes():
+    # the only level of a one-level mode is not a truncation edge
+    res = measure_operator(DensityMatrix((1,), [[1.0]]))
+    assert res.value == 0.0 and res.err_estimate == 0.0 and res.warnings == ()
+    cat = catalog.make_scs(1.0, 40)
+    alone = measure_operator(cat)
+    both = measure_operator(DensityMatrix((1, 40), cat.data))
+    assert both.value == pytest.approx(alone.value, rel=1e-15, abs=1e-15)
+    assert both.err_estimate == alone.err_estimate
+    assert both.warnings == alone.warnings
+
+
 def test_result_as_dict_round_trip():
     res = measure_operator(catalog.make_fock(2))
     d = res.as_dict()
@@ -232,6 +244,18 @@ def test_laguerre_rule_stays_finite_and_exact_at_500_nodes():
     weights = scaled * np.exp(-u)
     for k in range(20):
         assert weights @ u ** k == pytest.approx(math.factorial(k), rel=1e-12)
+
+
+def test_laguerre_rule_polishes_its_upper_nodes():
+    # the Jacobi eigenvalues sit up to 1.9e-15 relative from the roots of
+    # L_100 on the upper half; the Newton step brings those to 3e-16
+    mpmath = pytest.importorskip("mpmath")
+    n = 100
+    u, _ = _laguerre_rule(n)
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, u[n // 2:]):
+            ln, lm = mpmath.laguerre(n, 0, x), mpmath.laguerre(n - 1, 0, x)
+            assert abs(ln / (n * (ln - lm))) <= 6e-16  # |L_n / L_n'| / u
 
 
 def test_exact_radial_rule_gives_zero_on_the_vacuum():
