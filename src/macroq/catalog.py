@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, i0e
+from scipy.special import gammaln, i0e, j0
 
 from .fock import (LEAK_TOL, DensityMatrix, ModeCutoffs, TruncationLeakError,
                    displacement_matrix, suggest_cutoff)
@@ -282,6 +282,9 @@ class GaussianChar:
     B: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.A) and np.isfinite(self.B)):
+            raise ValueError(f"Gaussian parameters must be finite, "
+                             f"not {self.A!r} and {self.B!r}")
         if self.A <= 0 or self.B <= 0:
             raise ValueError("Gaussian parameters must be positive")
         if self.A * self.B < 1.0 - 1e-12:
@@ -393,16 +396,52 @@ class ThermalSCSChar:
 
     The first piece is the V-broadened interference term, the second the pair
     of displaced Gaussians written in centered form so no cosh ever overflows.
-    Callable on complex arrays; exposes exact mean_n and purity.
+    Callable on complex arrays; exposes exact mean_n and purity, and the
+    angular mean of |chi|^2 in closed form (:meth:`angular_mean_sq`).
     """
 
     def __init__(self, V: float, d: float):
+        if not (np.isfinite(V) and np.isfinite(d)):
+            raise ValueError(f"V and d must be finite, not {V!r} and {d!r}")
         if V < 1.0:
             raise ValueError("V must be at least 1")
         self.V = float(V)
         self.d = float(d)
         self.S = 4.0 * self.d ** 2 / self.V
         self._norm = 1.0 + np.exp(-0.5 * self.S) / self.V
+
+    def angular_mean_sq(self, r):
+        """Mean of |chi(r e^{i phi})|^2 over phi, in closed form.
+
+        With xi = r e^{i phi} and d -> |d| (chi is even in d), N chi is a
+        sum of three real pieces: the interference term
+        e^{-V r^2 / 2} cos(2 d r sin phi) and the two wings
+        e^{-(r^2 + 4 d^2) / 2V} e^{+-2 d r cos phi / V} / 2V.  Each product
+        in |N chi|^2 averages by <e^{b cos phi + i a sin phi}>_phi =
+        I0(sqrt(b^2 - a^2)) = J0(sqrt(a^2 - b^2)):
+
+        - the interference term squared, (1 + cos(4 d r sin phi)) / 2 times
+          e^{-V r^2}, to e^{-V r^2} (1 + J0(4 d r)) / 2;
+        - the wings squared, e^{-(r^2 + 4 d^2) / V} (2 + 2 cosh(4 d r
+          cos phi / V)) / 4V^2, to (e^{-(r^2 + 4 d^2) / V} + e^{-(r - 2d)^2
+          / V} i0e(4 d r / V)) / 2V^2, the exponential factor of I0 moved
+          into the Gaussian so it cannot overflow;
+        - twice their cross term, (2 / V) e^{-V r^2 / 2 - (r^2 + 4 d^2) / 2V}
+          cos(2 d r sin phi) cosh(2 d r cos phi / V), with a = 2 d r and
+          b = 2 d r / V <= a, to the same factor times
+          J0(2 d r sqrt(1 - 1 / V^2)).
+
+        Dividing by N^2 gives s(r), which is even in r.
+        """
+        r = np.abs(np.asarray(r, dtype=float))
+        V, d = self.V, abs(self.d)
+        r2, d2 = r * r, d * d
+        main = 0.5 * np.exp(-V * r2) * (1.0 + j0(4.0 * d * r))
+        wings = (np.exp(-(r2 + 4.0 * d2) / V)
+                 + np.exp(-(r - 2.0 * d) ** 2 / V) * i0e(4.0 * d * r / V)) / (2.0 * V * V)
+        cross = (2.0 / V) * np.exp(-0.5 * V * r2 - 0.5 * (r2 + 4.0 * d2) / V) * j0(
+            2.0 * d * r * np.sqrt(1.0 - 1.0 / (V * V)))
+        return (main + wings + cross) / self._norm ** 2
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=complex)

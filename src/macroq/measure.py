@@ -147,15 +147,27 @@ def _angular_mean(chi):
     return s
 
 
-def _probe_radial_cut(s) -> tuple[float, tuple]:
-    """Walk outward until the integrand weight is negligible; cap at r = 30."""
-    radii = np.arange(2.0, 30.0, 1.0)
+def _probe_radial_cut(s, mean_n: float | None = None) -> tuple[float, tuple]:
+    """Walk outward in unit steps until the integrand weight is negligible.
+
+    The walk stops at the first radius where r^3 s(r) < 1e-15 and s is not
+    rising, and returns two units past it.  It starts at r = 2 and is capped
+    at 30, unless the state's mean occupation <n> is known: then it starts
+    at max(2, 2 sqrt(<n>)) and is capped 30 further out.  A superposition
+    of branches at +-beta has interference wings at |xi| = 2 |beta| and
+    <n> >= |beta|^2 tanh |beta|^2, so once the branches are split far enough
+    to leave a gap between the centre and the wings, the walk starts within
+    a few per cent of the wings or past them, and never stops in that gap.
+    """
+    start = 2.0 if mean_n is None else max(2.0, 2.0 * np.sqrt(max(mean_n, 0.0)))
+    cap = 30.0 if mean_n is None else start + 30.0
+    radii = np.arange(start, cap, 1.0)
     prev = np.inf
     for r, cur in zip(radii, s(radii)):
         if cur * r ** 3 < 1e-15 and cur <= prev:
-            return float(min(r + 2.0, 30.0)), ()
+            return float(min(r + 2.0, cap)), ()
         prev = cur
-    return 30.0, ("radial cut capped at 30 with the integrand still significant",)
+    return float(cap), (f"radial cut capped at {cap:g} with the integrand still significant",)
 
 
 def _tail_estimates(s, R: float) -> tuple[float, float]:
@@ -194,7 +206,9 @@ def _panel_quadrature(s, edges) -> tuple[np.ndarray, float, int]:
     I integral and how many panels were still open when the budget ran out.
     A panel's error is its |coarse - fine| difference, floored as in QUADPACK
     at 50 eps times the integral of the integrand's magnitude, which bounds
-    the rounding.
+    the rounding.  A level whose integrand is not finite at some radius
+    ends the integration, since halving would only multiply such radii: it
+    returns NaN integrals with an infinite error and no open panels.
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
@@ -208,6 +222,8 @@ def _panel_quadrature(s, edges) -> tuple[np.ndarray, float, int]:
         r = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
         f = s(r) * r
         g = (r * r - 1.0) * f
+        if not np.isfinite(g).all():
+            return np.full(2, np.nan), np.inf, 0
         # rows I, P, integral of |I integrand|; columns: each panel, then its
         # left and right halves
         coarse, left, right = np.split(
@@ -278,8 +294,10 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
     """Integrate (|xi|^2 - 1)|chi|^2 / (2 pi) over the plane of one mode.
 
     ``chi`` is a single-mode characteristic function, a callable on complex
-    arrays; the angle is exact when it has ``angular_mean_sq`` and
-    trapezoid-sampled otherwise.  The radius takes one of two paths.
+    arrays; the angle is exact when it has ``angular_mean_sq``, as every
+    chi the package builds does (``DenseChar``, ``GaussianChar``,
+    ``ThermalSCSChar``), and trapezoid-sampled otherwise.  The radius takes
+    one of two paths.
 
     A ``chi`` that exposes ``levels``, the Fock levels its state occupies
     (``DenseChar``), takes the exact rule when no ``radial_cut`` is given:
@@ -293,16 +311,18 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
     Any other ``chi`` (``GaussianChar``, ``ThermalSCSChar``, a bare
     callable), and any call with ``radial_cut``, runs on adaptive panels
     (:func:`_panel_quadrature`) up to the cut; without one the integrand is
-    probed for it, and a Gaussian tail estimate joins the error.  When
-    ``chi`` carries ``purity``, the panels' purity integral closes against
-    it too, so weight the cut misses shows in err_estimate.
+    probed for it (:func:`_probe_radial_cut`, from r = 2 sqrt(<n>) when
+    ``chi`` carries ``mean_n``), and a Gaussian tail estimate joins the
+    error.  When ``chi`` carries ``purity``, the panels' purity integral
+    closes against it too, so weight the cut misses shows in err_estimate.
 
     Purity and occupation come from ``chi`` when it carries them.  Raises
     ConvergenceError, with the partial result attached, when the error
-    budget lands above 50 * tol.
+    budget lands above 50 * tol or the integrand is not finite.
     """
     s = _angular_mean(chi)
     levels = getattr(chi, "levels", None)
+    mean_attr = getattr(chi, "mean_n", None)
     warns = []
     if levels is not None and radial_cut is None:
         u, scaled = _laguerre_rule(int(levels))
@@ -313,7 +333,7 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
         hint = f"the {int(levels)}-node rule does not close the state's purity"
     else:
         if radial_cut is None:
-            R, capped = _probe_radial_cut(s)
+            R, capped = _probe_radial_cut(s, mean_attr)
             warns.extend(capped)
         else:
             R = float(radial_cut)
@@ -325,8 +345,8 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
         tail_i, tail_p = _tail_estimates(s, R)
         err += tail_i
         quad_p = 2.0 * (val_p + tail_p if np.isfinite(tail_p) else val_p)
-        hint = "the radial cut is likely too small for this state"
-    mean_attr = getattr(chi, "mean_n", None)
+        hint = ("the radial integrand is not finite" if not np.isfinite(value)
+                else "the radial cut is likely too small for this state")
     mean = float(mean_attr) if mean_attr is not None else _mean_n_from_char(chi)
     pur_attr = getattr(chi, "purity", None)
     purity = quad_p if pur_attr is None else float(pur_attr)

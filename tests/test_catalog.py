@@ -199,6 +199,60 @@ def test_thermal_scs_closed_form_vs_quadrature():
             oracle.value, abs=1e-9), (V, d)
 
 
+def _sampled_mean_sq(chi, r, n=4096):
+    """Mean of |chi|^2 over n equally spaced angles at each radius r."""
+    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return np.mean(np.abs(chi(np.multiply.outer(r, np.exp(1j * phi)))) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("V", [1.0, 1.5, 4.0, 60.0])
+def test_thermal_scs_angular_mean_matches_the_sampled_char(V):
+    # the closed form is checked against chi itself, not against
+    # thermal_scs_measure, so the quadrature route stays an independent
+    # check of that closed form
+    for d in (0.0, 1.4, -1.4, 8.75, 20.0):
+        chi = catalog.ThermalSCSChar(V, d)
+        a, w = 2.0 * abs(d), 3.0 * np.sqrt(V)
+        r = np.array([0.0, 0.3, 1.0, a, a - w, a + w, 40.0])
+        exact = chi.angular_mean_sq(r)
+        sampled = _sampled_mean_sq(chi, r)
+        big = sampled > 1e-250
+        assert big.sum() >= 5
+        np.testing.assert_allclose(exact[big], sampled[big], rtol=1e-12, atol=0,
+                                   err_msg=f"V={V} d={d}")
+        assert np.all(exact[~big] <= 1e-249)
+
+
+def test_thermal_scs_angular_mean_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for V, d, r in ((1.5, 1.4, 1.0), (4.0, -1.4, 2.8), (60.0, 8.75, 17.5)):
+            V, d, r = mpmath.mpf(V), mpmath.mpf(d), mpmath.mpf(r)
+            norm = 1 + mpmath.exp(-2 * d * d / V) / V
+
+            def sq(phi):
+                x, y = r * mpmath.cos(phi), r * mpmath.sin(phi)
+                main = mpmath.exp(-V * r * r / 2) * mpmath.cos(2 * d * y)
+                wings = (mpmath.exp(-((x - 2 * d) ** 2 + y * y) / (2 * V))
+                         + mpmath.exp(-((x + 2 * d) ** 2 + y * y) / (2 * V))) / (2 * V)
+                return ((main + wings) / norm) ** 2
+
+            exact = mpmath.quad(sq, mpmath.linspace(0, 2 * mpmath.pi, 33)) / (2 * mpmath.pi)
+            got = catalog.ThermalSCSChar(float(V), float(d)).angular_mean_sq(float(r))
+            assert abs(got - exact) <= 1e-13 * exact, (V, d, r)
+
+
+@pytest.mark.parametrize("make", [lambda x: catalog.ThermalSCSChar(2.0, x),
+                                  lambda x: catalog.ThermalSCSChar(x, 1.0),
+                                  lambda x: catalog.GaussianChar(x, 1.0),
+                                  lambda x: catalog.GaussianChar(1.0, x)],
+                         ids=["thermal-scs-d", "thermal-scs-V", "gaussian-A", "gaussian-B"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_form_chars_refuse_non_finite_parameters(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)
+
+
 def test_thermal_scs_pure_limit():
     # V = 1 collapses onto the plain superposition formulas
     assert catalog.thermal_scs_measure(1.0, 1.4).value == pytest.approx(

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process."""
 
+import importlib
 import json
 import re
 import shlex
@@ -197,6 +198,11 @@ def _refuse_constant(name):
 def test_non_finite_flags_exit_2_and_non_finite_results_exit_1(capsys, tmp_path,
                                                                  monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
+    if "char-quadrature" in argv:
+        # a tail with no bound, so the route's partial carries err_estimate inf
+        # (the package's `measure` attribute is the function, not the module)
+        monkeypatch.setattr(importlib.import_module("macroq.measure"), "_tail_estimates",
+                            lambda s, R: (np.inf, np.inf))
     try:
         rc, out, err = run(capsys, *argv)
     except SystemExit as exc:
@@ -206,6 +212,8 @@ def test_non_finite_flags_exit_2_and_non_finite_results_exit_1(capsys, tmp_path,
         # strict JSON: json.loads would otherwise take NaN and Infinity
         payload = json.loads(err, parse_constant=_refuse_constant)
         assert "error" in payload
+    if "char-quadrature" in argv:
+        assert payload["partial"]["err_estimate"] == "inf"
 
 
 @pytest.mark.parametrize("argv", [
@@ -418,13 +426,14 @@ def test_convergence_error_reports_partial(capsys):
         measure_char_quadrature(chi, radial_cut=0.8, tol=1e-12)
 
 
-def test_quadrature_miss_on_thermal_scs_exits_1_with_a_convergence_error(capsys):
-    # the wings at |xi| = 40 lie past the probed cut; the route used to print
-    # I = -0.0625 against the closed form 200.0625 and exit 0
+def test_quadrature_on_thermal_scs_reaches_its_wings(capsys):
+    # the wings sit at |xi| = 40, past a walk from r = 2 capped at 30; the
+    # probe reaches them by starting at 2 sqrt(<n>) = 40.02
     rc, out, err = run(capsys, "measure", "--state", "thermal-scs", "--V", "2",
                        "--d", "20", "--route", "char-quadrature")
-    assert rc == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "convergence"
-    assert payload["partial"]["purity"] == 0.5
-    assert payload["partial"]["err_estimate"] == pytest.approx(0.25, rel=1e-6)
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["value"] == pytest.approx(200.0625, rel=1e-10)
+    assert payload["value"] == pytest.approx(catalog.thermal_scs_measure(2.0, 20.0).value,
+                                             abs=payload["err_estimate"])
+    assert payload["purity"] == 0.5

@@ -207,12 +207,12 @@ def test_quadrature_route_probes_its_cut_by_default():
 @pytest.mark.parametrize("V, d, gap", [(2.0, 20.0, 0.25), (1.0, 8.75, 0.5),
                                        (4.0, 14.25, 0.125)])
 def test_quadrature_route_closes_purity_on_the_panels(V, d, gap):
-    # the wings at |xi| = 2d lie past the probed cut, so the panels see half
+    # the wings at |xi| = 2d lie past a cut at 6, so the panels see half
     # of the purity (or less); the closure turns that into a loud failure
     # instead of a value off by about 2 d^2 with a tiny err_estimate
     chi = catalog.ThermalSCSChar(V, d)
     with pytest.raises(ConvergenceError) as exc:
-        measure_char_quadrature(chi)
+        measure_char_quadrature(chi, radial_cut=6.0)
     partial = exc.value.partial
     assert partial.purity == chi.purity
     assert partial.err_estimate == pytest.approx(gap, rel=1e-6)
@@ -226,6 +226,63 @@ def test_quadrature_route_closes_purity_on_closed_form_states():
                 catalog.GaussianChar(*catalog.squeezed_char_params(1.5))):
         res = measure_char_quadrature(chi)
         assert res.err_estimate < 1e-10
+
+
+def test_quadrature_route_reaches_thermal_scs_wings_at_any_displacement():
+    # the wings sit at |xi| = 2d; a walk from r = 2 capped at 30 misses
+    # them from d = 8.75 (V = 1), 10 (V = 2) and 14.25 (V = 4) on and
+    # raises just below those onsets, so the scan runs past each.  Started
+    # at 2 sqrt(<n>), the probe reaches them at every d, and err_estimate
+    # covers the gap to the closed form
+    for V in (1.0, 2.0, 4.0, 8.0, 20.0, 60.0):
+        for d in np.arange(121) * 0.25:
+            res = measure_char_quadrature(catalog.ThermalSCSChar(V, d))
+            gap = abs(res.value - catalog.thermal_scs_measure(V, d).value)
+            assert gap <= res.err_estimate, (V, d, gap, res.err_estimate)
+
+
+@pytest.mark.parametrize("chi", [catalog.ThermalSCSChar(4.0, 2.0),
+                                 catalog.ThermalSCSChar(2.0, 20.0),
+                                 catalog.GaussianChar(*catalog.squeezed_char_params(1.5))],
+                         ids=["thermal-scs", "thermal-scs-wide", "squeezed"])
+def test_quadrature_route_never_samples_a_closed_form_char(chi, monkeypatch):
+    # both carry angular_mean_sq, mean_n and purity, so the route needs no
+    # value of chi itself: no trapezoid over angles, no derivative at 0
+    calls = []
+    real = type(chi).__call__
+    monkeypatch.setattr(type(chi), "__call__",
+                        lambda self, xi: calls.append(np.size(xi)) or real(self, xi))
+    measure_char_quadrature(chi)
+    assert calls == []
+    chi(np.zeros(3))  # the wrapper does count
+    assert calls == [3]
+
+
+class _NanChar:
+    """A chi whose integrand is NaN everywhere, as a NaN parameter makes it.
+
+    It has angular_mean_sq, so each radius costs one float whatever the
+    route does; it counts the radii it is asked for.
+    """
+
+    def __init__(self):
+        self.radii = 0
+
+    def __call__(self, xi):
+        return np.full(np.shape(xi), np.nan)
+
+    def angular_mean_sq(self, r):
+        self.radii += np.size(r)
+        return np.full(np.shape(r), np.nan)
+
+
+def test_quadrature_route_stops_at_a_non_finite_integrand():
+    # a NaN never passes the halving test, so panels that kept halving would
+    # reach 12 levels, about 3 million radii, and blame the radial cut
+    chi = _NanChar()
+    with pytest.raises(ConvergenceError, match="integrand is not finite"):
+        measure_char_quadrature(chi)
+    assert chi.radii <= 500
 
 
 def test_laguerre_rule_matches_laggauss():
