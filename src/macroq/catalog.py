@@ -41,6 +41,13 @@ def _leak_gate(leak: float, context: str, stacklevel: int = 3) -> None:
                       RuntimeWarning, stacklevel=stacklevel)
 
 
+def _require_finite(**params) -> None:
+    """Refuse, by name, a parameter that is NaN or infinite, before a cutoff is sized from it."""
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")
+
+
 def _two_branch(branch: np.ndarray, gamma: float, full: float, context: str) -> DensityMatrix:
     """The state B o W / tr of a branch B around +beta and its mirror image around -beta.
 
@@ -89,6 +96,7 @@ def make_fock(n: int, cutoff: int | None = None) -> DensityMatrix:
 
 
 def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
+    _require_finite(alpha=alpha)
     cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
     amp = _coherent_amplitudes(alpha, cutoff)
     norm2 = float(np.sum(np.abs(amp) ** 2))
@@ -98,6 +106,7 @@ def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
 
 def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     """Even superposition of |alpha> and |-alpha>."""
+    _require_finite(alpha=alpha)
     cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
     amp = _coherent_amplitudes(alpha, cutoff)
     return _two_branch(np.outer(amp, amp.conj()), 1.0,
@@ -107,6 +116,7 @@ def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
 
 def make_mixture_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     """Classical fifty-fifty mixture of |alpha> and |-alpha>."""
+    _require_finite(alpha=alpha)
     cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
     amp = _coherent_amplitudes(alpha, cutoff)
     return _two_branch(np.outer(amp, amp.conj()), 0.0, 2.0, f"mixture alpha={alpha}")
@@ -119,6 +129,7 @@ def make_decohered_scs(alpha: float, tau: float, cutoff: int | None = None) -> D
     blocks pick up the coherence factor Gamma = exp(-2 (1 - e^{-tau}) alpha^2).
     """
     alpha, tau = float(alpha), float(tau)
+    _require_finite(alpha=alpha, tau=tau)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(alpha ** 2)
@@ -132,6 +143,7 @@ def make_decohered_scs(alpha: float, tau: float, cutoff: int | None = None) -> D
 
 def make_thermal(nbar: float, cutoff: int | None = None) -> DensityMatrix:
     nbar = float(nbar)
+    _require_finite(nbar=nbar)
     if nbar < 0:
         raise ValueError("mean occupation must be nonnegative")
     cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(nbar)
@@ -162,6 +174,7 @@ def make_squeezed(s: float, cutoff: int | None = None) -> DensityMatrix:
     generic occupation heuristic underestimates badly here.
     """
     s = float(s)
+    _require_finite(s=s)
     if s == 0.0:
         return make_fock(0, cutoff if cutoff is not None else 4)
     if cutoff is None:
@@ -192,6 +205,7 @@ def make_thermal_scs(V: float, d: float, cutoff: int | None = None) -> DensityMa
     superposition.  V = 1 (nbar = 0) is the pure state; the state is even in d.
     """
     V, d = float(V), abs(float(d))
+    _require_finite(V=V, d=d)
     if V < 1.0:
         raise ValueError("V must be at least 1")
     nbar = 0.5 * (V - 1.0)
@@ -242,6 +256,7 @@ def make_dur(n_modes: int, epsilon: float) -> DensityMatrix:
     the single-mode branch overlap is cos(eps).
     """
     n_modes = int(n_modes)
+    _require_finite(epsilon=epsilon)
     th = 0.5 * float(epsilon)
     u = np.array([np.cos(th), np.sin(th)])
     v = np.array([np.cos(th), -np.sin(th)])

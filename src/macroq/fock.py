@@ -504,9 +504,13 @@ def exchange_trace(rho: np.ndarray, cutoffs, mode: int) -> float:
     of the imaginary parts, so nothing is conjugated, and a C-contiguous
     complex rho is not copied.
     """
-    cutoffs = as_cutoffs(cutoffs)
-    stride, _, w = _ladder(cutoffs, mode)
-    n = cutoffs.dim - stride
+    stride, _, w = _ladder(as_cutoffs(cutoffs), mode)
+    return _exchange_trace(rho, stride, w)
+
+
+def _exchange_trace(rho: np.ndarray, stride: int, w: np.ndarray) -> float:
+    """``exchange_trace`` from the stride and weights of the mode's ``_ladder``."""
+    n = rho.shape[0] - stride
     w = w[:n]
     flat = np.ascontiguousarray(rho, dtype=complex).view(np.float64)
     upper, lower = flat[stride:, 2 * stride:], flat[:n, :2 * n]
@@ -519,9 +523,14 @@ def factored_exchange_trace(V: np.ndarray, C: np.ndarray, cutoffs, mode: int) ->
     a_m V is the shift of ``_ladder`` on the rows of V, so
     A = V[:n-R]^H (w * V[R:]) costs O(dim r^2) and the trace is r x r algebra.
     """
-    cutoffs = as_cutoffs(cutoffs)
-    stride, _, w = _ladder(cutoffs, mode)
-    n = cutoffs.dim - stride
+    stride, _, w = _ladder(as_cutoffs(cutoffs), mode)
+    return _factored_exchange_trace(V, C, stride, w)
+
+
+def _factored_exchange_trace(V: np.ndarray, C: np.ndarray, stride: int,
+                             w: np.ndarray) -> float:
+    """``factored_exchange_trace`` from the stride and weights of the mode's ``_ladder``."""
+    n = V.shape[0] - stride
     A = V[:n].conj().T @ (w[:n, None] * V[stride:])
     return _trace_product(A @ C, A.conj().T @ C)
 

@@ -25,8 +25,8 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 
 from . import phasespace
-from .fock import (DensityMatrix, _displaced_columns, _ladder, exchange_trace,
-                   factored_exchange_trace, number_diagonal)
+from .fock import (DensityMatrix, _displaced_columns, _exchange_trace,
+                   _factored_exchange_trace, _ladder)
 
 class ConvergenceError(RuntimeError):
     """Quadrature failed to meet tolerance; .partial holds the best estimate."""
@@ -79,12 +79,17 @@ def measure_operator(state: DensityMatrix) -> MeasureResult:
     that genuinely fit the cutoff.
     """
     cut = state.cutoffs
-    if state.factors is not None:
-        V, C = state.factors
+    # read first: an oversized factor is refused before any dim-sized array
+    factors = state.factors
+    # each mode's stride, levels and weights, built once for every term below
+    ladders = [_ladder(cut, m) for m in range(cut.modes)]
+    number = sum(level for _, level, _ in ladders).astype(float)
+    if factors is not None:
+        V, C = factors
         gram = V.conj().T @ V
-        number = V.conj().T @ (number_diagonal(cut)[:, None] * V)
-        value = float(np.real(np.einsum("ij,jk,kl,li->", C, gram, C, number)))
-        value -= sum(factored_exchange_trace(V, C, cut, m) for m in range(cut.modes))
+        value = float(np.real(np.einsum("ij,jk,kl,li->", C, gram, C,
+                                        V.conj().T @ (number[:, None] * V))))
+        value -= sum(_factored_exchange_trace(V, C, stride, w) for stride, _, w in ladders)
         return MeasureResult(value=value, route="operator", mean_n=state.mean_number(),
                              purity=state.purity(), err_estimate=0.0)
 
@@ -92,21 +97,23 @@ def measure_operator(state: DensityMatrix) -> MeasureResult:
     flat = rho.view(np.float64)
     # (rho^2)_jj = sum_i |rho_ij|^2, the squared norm of row j for Hermitian rho
     second = np.einsum("ij,ij->i", flat, flat)
-    number = number_diagonal(cut)
-    value = float(second @ number) - sum(exchange_trace(rho, cut, m) for m in range(cut.modes))
+    value = float(second @ number) - sum(_exchange_trace(rho, stride, w)
+                                         for stride, _, w in ladders)
 
     # a one-level mode is never truncated, so its only level is not a top one
     top = np.zeros(cut.dim, dtype=bool)
-    for m, d in enumerate(cut.cutoffs):
+    for d, (_, level, _) in zip(cut.cutoffs, ladders):
         if d > 1:
-            top |= _ladder(cut, m)[1] == d - 1
+            top |= level == d - 1
     p_top = float(rho.diagonal().real[top].sum())
     err = 2.0 * p_top * (number.max() + 1.0)
     warns = ()
     if p_top > 1e-8:
         warns = (f"top Fock level holds population {p_top:.3e}; "
                  "the cutoff may be truncating the state",)
-    return MeasureResult(value=value, route="operator", mean_n=state.mean_number(),
+    # Tr(rho N) as DensityMatrix.mean_number forms it, from the number built above
+    mean = float(np.real(rho.diagonal() @ number))
+    return MeasureResult(value=value, route="operator", mean_n=mean,
                          purity=state.purity(), err_estimate=err, warnings=warns)
 
 
@@ -255,9 +262,8 @@ def _mean_n_from_char(chi) -> float:
     return (4.0 * e2 - e1) / 3.0
 
 
-@functools.lru_cache(maxsize=None)
-def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u_i and scaled weights w_i e^{u_i} of the n-point Gauss-Laguerre rule.
+def _gauss_laguerre(n: int, with_tensor: bool):
+    """Nodes, scaled weights and node tensor of the n-point Gauss-Laguerre rule.
 
     sum_i w_i e^{u_i} f(u_i) e^{-u_i} equals the integral of f(u) e^{-u} over
     u >= 0 for every polynomial f of degree below 2n.  The nodes are the
@@ -270,23 +276,69 @@ def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     L_{n-1}) / u makes the step a ratio of them.  Unlike
     ``numpy.polynomial.laguerre.laggauss``, whose unscaled weights underflow
     to NaN from about n = 200 on, nothing here leaves the float range.
+
+    With ``with_tensor`` the recurrence at the polished nodes runs over all
+    n diagonals at once, and its result is kept as the node tensor
+    T[k, m, i] = <m+k|D(sqrt u_i)|m>, zero where m + k >= n (None without);
+    the weights come from its row k = 0.  Rows are independent in the
+    recurrence, so the nodes and weights are the same either way.
     """
-    def sums(u):
-        # sum_{k<n} l_k(u)^2 and the Newton step L_n / L_n'
-        total = np.zeros(n)
+    def newton_step(u):
+        # L_n / L_n' from the main diagonal up to level n
         for k, f in _displaced_columns(np.sqrt(u), [0], [n + 1]):
             if k == n:
-                return total, u * f[0] / (n * (f[0] - prev))
-            total += f[0] ** 2
+                return u * f[0] / (n * (f[0] - prev))
             prev = f[0].copy()
 
     off = np.arange(1.0, n)
     jacobi = np.diag(2.0 * np.arange(n) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     u = np.linalg.eigvalsh(jacobi)
-    u -= sums(u)[1]
-    scaled = 1.0 / sums(u)[0]
+    u -= newton_step(u)
+    k = np.arange(n if with_tensor else 1)
+    tensor = np.zeros((n, n, n)) if with_tensor else None
+    total = np.zeros(n)
+    for m, f in _displaced_columns(np.sqrt(u), k, n - k):
+        total += f[0] ** 2
+        if with_tensor:
+            tensor[:f.shape[0], m] = f
+    scaled = 1.0 / total
     u.flags.writeable = scaled.flags.writeable = False
-    return u, scaled
+    return u, scaled, tensor
+
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_i and scaled weights w_i e^{u_i} of the n-point rule (:func:`_gauss_laguerre`).
+
+    Cached for every n, since it holds only 2n floats; the rule with its
+    node tensor is :func:`_node_rule`.
+    """
+    return _gauss_laguerre(n, False)[:2]
+
+
+# most bytes one entry of the node-rule cache may hold; with its 8 slots the
+# cache holds at most 8 MiB, which fits every rule up to n = 50
+_NODE_RULE_BYTES = 1 << 20
+
+
+def _node_rule_fits(n: int) -> bool:
+    """Whether the n-point rule with its n x n x n node tensor fits one cache slot."""
+    return 8 * n * (n * n + 2) <= _NODE_RULE_BYTES
+
+
+@functools.lru_cache(maxsize=8)
+def _node_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point rule and its node tensor over all n diagonals, from one run.
+
+    The tensor depends only on n, so the exact radial rule builds it once
+    per n and then spends one contraction per call.  Only rules that
+    :func:`_node_rule_fits` enter the cache; larger n raise ValueError.
+    """
+    if not _node_rule_fits(n):
+        raise ValueError(f"the {n}-node tensor exceeds {_NODE_RULE_BYTES} bytes")
+    u, scaled, tensor = _gauss_laguerre(n, True)
+    tensor.flags.writeable = False
+    return u, scaled, tensor
 
 
 def measure_char_quadrature(chi, radial_cut: float | None = None,
@@ -306,7 +358,13 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
     (:func:`_laguerre_rule`) gives both the I and the purity integral
     exactly, from one evaluation of the integrand at D radii, with no cut,
     panels or tail.  Its err_estimate is the purity closure |P_quad - P|
-    plus the rounding bound 50 eps times the sum of the |terms| of I.
+    plus the rounding bound 50 eps times the sum of the |terms| of I.  A
+    ``DenseChar`` whose rule fits the node-rule cache (D <= 50,
+    :func:`_node_rule_fits`) reads those D values off the cached node tensor
+    T[k, n, j] = <n+k|D(sqrt u_j)|n> as one contraction with the diagonals
+    of its matrix (``phasespace._angular_mean_sq_at_nodes``); any other
+    such ``chi``, and a larger D, calls ``angular_mean_sq`` at the nodes,
+    which reruns the displacement recurrence.
 
     Any other ``chi`` (``GaussianChar``, ``ThermalSCSChar``, a bare
     callable), and any call with ``radial_cut``, runs on adaptive panels
@@ -325,12 +383,17 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
     mean_attr = getattr(chi, "mean_n", None)
     warns = []
     if levels is not None and radial_cut is None:
-        u, scaled = _laguerre_rule(int(levels))
-        vals = scaled * s(np.sqrt(u))
+        D = int(levels)
+        if isinstance(chi, phasespace.DenseChar) and _node_rule_fits(D):
+            u, scaled, tensor = _node_rule(D)
+            vals = scaled * phasespace._angular_mean_sq_at_nodes(chi.state.data, tensor)
+        else:
+            u, scaled = _laguerre_rule(D)
+            vals = scaled * s(np.sqrt(u))
         terms = 0.5 * (u - 1.0) * vals
         value, quad_p = float(terms.sum()), float(vals.sum())
         err = 50.0 * np.finfo(float).eps * float(np.abs(terms).sum())
-        hint = f"the {int(levels)}-node rule does not close the state's purity"
+        hint = f"the {D}-node rule does not close the state's purity"
     else:
         if radial_cut is None:
             R, capped = _probe_radial_cut(s, mean_attr)

@@ -127,6 +127,23 @@ def _angular_mean_sq(rho: np.ndarray, r) -> np.ndarray:
     return acc
 
 
+def _angular_mean_sq_at_nodes(rho: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """:func:`_angular_mean_sq` at the radii r_j of a node tensor.
+
+    ``tensor[k, n, j]`` = <n+k| D(r_j) |n> on D levels, zero where n + k >= D,
+    as the exact radial rule caches it.  With the diagonals rho[n, n+k] of
+    the leading D x D block, c_kj = sum_n rho[n, n+k] tensor[k, n, j] is one
+    batched product of their real and imaginary parts with the tensor, and
+    the mean is sum_k m_k |c_kj|^2, m_0 = 1 and m_k = 2 otherwise.
+    """
+    D = tensor.shape[0]
+    diag = _diagonals(rho[:D, :D])
+    c = np.matmul(np.stack([diag.real, diag.imag], axis=1), tensor)
+    weight = np.full(D, 2.0)
+    weight[0] = 1.0
+    return weight @ (c * c).sum(axis=1)
+
+
 class DenseChar:
     """Characteristic function of a dense single-mode state, callable on arrays.
 
@@ -351,7 +368,11 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
     complex multiply per entry.  The table is written in place as the
     interleaved (cos, sin) pairs that face the bracket's (re, im) pairs, so
     neither GEMM operand is copied; a real bracket meets a copy of the cos
-    half alone, in a GEMM of half the size.  Memory is
+    half alone, in a GEMM of half the size.  A real block also makes W even
+    in p, so when the p axis is symmetric about 0 (start == -stop, as every
+    default axis is) the table and the GEMM cover only the first
+    ceil(N_p / 2) columns, and the rest are their mirror image; a complex
+    block or an asymmetric axis computes every column.  Memory is
     O(N_x N_y + N_y N_p).
     """
     n = _significant_level(rho) + 1
@@ -391,17 +412,22 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
         np.multiply(windows(up, ny)[ny - 1::m], windows(down, ny)[:m * rows:m, ::-1], out=term)
         bracket += term
     # <q-y|rho|q+y> is the conjugate of <q+y|rho|q-y>, so the y-sum folds
-    # onto y >= 0 as twice the real part, with y = 0 counted once
+    # onto y >= 0 as twice the real part, with y = 0 counted once.  A real
+    # bracket gives W(x, -p) = W(x, p), so on a p axis symmetric about 0 only
+    # the first ceil(N_p / 2) columns are computed and mirrored into the rest
+    mirror = real and p_axis.start == -p_axis.stop
+    cols = (ps.size + 1) // 2 if mirror else ps.size
     c = 2.0 * np.sqrt(2.0) * h
     J = int(np.ceil(np.sqrt(ny)))
-    coarse = np.exp(1j * c * J * np.outer(ps, np.arange(-(-ny // J))))
-    fine = np.exp(1j * c * np.outer(ps, np.arange(J)))
-    phase = (coarse[:, :, None] * fine[:, None, :]).reshape(ps.size, -1)[:, :ny]
+    coarse = np.exp(1j * c * J * np.outer(ps[:cols], np.arange(-(-ny // J))))
+    fine = np.exp(1j * c * np.outer(ps[:cols], np.arange(J)))
+    phase = (coarse[:, :, None] * fine[:, None, :]).reshape(cols, -1)[:, :ny]
     phase[:, 0] = 0.5
     # the GEMM writes its rows of W in place, with no copy of the result
     W = np.zeros((x_axis.n, ps.size))
     table = np.ascontiguousarray(phase.real) if real else phase.view(float)
-    np.matmul(bracket.view(float), table.T, out=W[i0:i1])
+    np.matmul(bracket.view(float), table.T, out=W[i0:i1, :cols])
+    W[i0:i1, cols:] = W[i0:i1, :ps.size - cols][:, ::-1]
     W *= 4.0 * h / np.pi
     return W
 

@@ -253,6 +253,31 @@ def test_closed_form_chars_refuse_non_finite_parameters(make, bad):
         make(bad)
 
 
+_NON_FINITE = {
+    "thermal-scs-d": (lambda: catalog.make_thermal_scs(2.0, np.nan), "d"),
+    "thermal-scs-V": (lambda: catalog.make_thermal_scs(np.inf, 1.0), "V"),
+    "scs": (lambda: catalog.make_scs(np.nan), "alpha"),
+    "mixture-scs": (lambda: catalog.make_mixture_scs(-np.inf), "alpha"),
+    "coherent": (lambda: catalog.make_coherent(np.nan), "alpha"),
+    "coherent-complex": (lambda: catalog.make_coherent(complex(1.0, np.inf)), "alpha"),
+    "squeezed": (lambda: catalog.make_squeezed(np.nan), "s"),
+    "squeezed-inf": (lambda: catalog.make_squeezed(np.inf), "s"),
+    "decohered-scs-tau": (lambda: catalog.make_decohered_scs(1.0, np.nan), "tau"),
+    "decohered-scs-alpha": (lambda: catalog.make_decohered_scs(np.inf, 0.3), "alpha"),
+    "thermal": (lambda: catalog.make_thermal(np.nan), "nbar"),
+    "dur": (lambda: catalog.make_dur(4, np.nan), "epsilon"),
+}
+
+
+@pytest.mark.parametrize("make, name", list(_NON_FINITE.values()), ids=list(_NON_FINITE))
+def test_constructors_name_a_non_finite_parameter(make, name):
+    # checked before any cutoff is sized from the parameter, where a NaN or
+    # infinity failed with "cannot convert float NaN to integer" or an
+    # OverflowError, or (tau) passed the sign test
+    with pytest.raises(ValueError, match=f"^{name} is not finite"):
+        make()
+
+
 def test_thermal_scs_pure_limit():
     # V = 1 collapses onto the plain superposition formulas
     assert catalog.thermal_scs_measure(1.0, 1.4).value == pytest.approx(

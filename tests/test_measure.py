@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from macroq import catalog, phasespace
-from macroq.fock import DensityMatrix, ModeCutoffs, annihilation_op, number_op
+from macroq.fock import (DensityMatrix, ModeCutoffs, annihilation_op, exchange_trace,
+                         factored_exchange_trace, number_diagonal, number_op)
 from macroq.measure import (
     ConvergenceError,
     MeasureResult,
@@ -91,6 +92,45 @@ def test_operator_route_sees_no_top_level_on_one_level_modes():
     assert both.value == pytest.approx(alone.value, rel=1e-15, abs=1e-15)
     assert both.err_estimate == alone.err_estimate
     assert both.warnings == alone.warnings
+
+
+def _operator_by_modes(state):
+    """measure_operator's value, occupation and error bar from the per-mode
+    public functions, each of which builds its mode's ladder itself."""
+    cut = state.cutoffs
+    number = number_diagonal(cut)
+    if state.factors is not None:
+        V, C = state.factors
+        gram = V.conj().T @ V
+        value = float(np.real(np.einsum("ij,jk,kl,li->", C, gram, C,
+                                        V.conj().T @ (number[:, None] * V))))
+        value -= sum(factored_exchange_trace(V, C, cut, m) for m in range(cut.modes))
+        return value, state.mean_number(), 0.0
+    rho = state.data
+    flat = rho.view(np.float64)
+    value = float(np.einsum("ij,ij->i", flat, flat) @ number)
+    value -= sum(exchange_trace(rho, cut, m) for m in range(cut.modes))
+    top = np.zeros(cut.dim, dtype=bool)
+    for m, d in enumerate(cut.cutoffs):
+        if d > 1:
+            top |= number_diagonal(cut, m) == d - 1
+    err = 2.0 * float(rho.diagonal().real[top].sum()) * (number.max() + 1.0)
+    return value, state.mean_number(), err
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DensityMatrix((12, 13), np.kron(catalog.make_scs(1.0, 12).data,
+                                            catalog.make_coherent(0.5 + 1.2j, 13).data)),
+    lambda: catalog.make_dur(12, 0.3)], ids=["dense-2-mode", "dur-12"])
+def test_operator_route_is_bit_identical_to_its_per_mode_terms(make):
+    # the route builds each mode's ladder once and passes it to every term;
+    # that must not move a bit against the per-mode functions
+    state = make()
+    res = measure_operator(state)
+    value, mean, err = _operator_by_modes(state)
+    assert (res.value, res.mean_n, res.err_estimate) == (value, mean, err)
+    assert res.purity == state.purity()
+    assert (err > 0.0) == (state.factors is None)
 
 
 def test_result_as_dict_round_trip():

@@ -1,16 +1,26 @@
 """Characteristic functions, Wigner grids, transforms, and the text formats."""
 
 import functools
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import macroq
 from macroq import catalog
-from macroq.measure import _power_score, measure_wigner_grid
+from macroq.measure import (_NODE_RULE_BYTES, _gauss_laguerre, _laguerre_rule, _node_rule,
+                            _node_rule_fits, _power_score, measure_char_quadrature,
+                            measure_operator, measure_wigner_grid)
 from macroq.phasespace import (
+    _angular_mean_sq,
+    _angular_mean_sq_at_nodes,
     _CHI_DECAY,
     _MIN_POINTS,
     _SUPPORT_MARGIN,
@@ -279,6 +289,10 @@ SAMPLER_AXES = {
     "wider-than-support": (Axis(-40.0, 3.0, 64), Axis(-5.0, 5.0, 64)),
     "coarse-wide": (Axis(-60.0, 60.0, 300), Axis(-60.0, 60.0, 300)),
     "past-the-support": (Axis(25.0, 40.0, 16), Axis(-5.0, 5.0, 16)),
+    # p axes symmetric about 0, where a real state's W is computed on the
+    # first ceil(N_p / 2) columns and mirrored
+    "symmetric-even": (Axis(-5.0, 5.0, 200), Axis(-5.0, 5.0, 200)),
+    "symmetric-odd": (Axis(-3.0, 4.0, 36), Axis(-6.5, 6.5, 61)),
     "off-support": (Axis(1.0, 2.0, 16), Axis(-1.0, 30.0, 90)),
 }
 SAMPLER_CASES = (
@@ -322,6 +336,90 @@ def test_sampler_matches_the_gather_reference_on_any_axes(name, x0, x_span, nx,
                                                           p0, p_span, n_p):
     x_axis, p_axis = Axis(x0, x0 + x_span, nx), Axis(p0, p0 + p_span, n_p)
     assert _sampler_gap(_oracle_data(name), x_axis, p_axis) <= SAMPLER_TOL
+
+
+@pytest.mark.parametrize("axes", ["symmetric-even", "symmetric-odd"])
+def test_sampler_mirrors_real_states_on_symmetric_p_axes(axes):
+    # a real state's W is even in p; the mirrored half is a copy, bit for
+    # bit, while a complex state's W is not even and keeps every column
+    x_axis, p_axis = SAMPLER_AXES[axes]
+    W = _sample_wigner(_oracle_data("cat3"), x_axis, p_axis)
+    assert (W == W[:, ::-1]).all()
+    W = _sample_wigner(_oracle_data("complex-cat"), x_axis, p_axis)
+    assert np.abs(W - W[:, ::-1]).max() > 1e-3
+
+
+@pytest.mark.parametrize("name", list(ORACLE_STATES))
+def test_node_tensor_matches_the_recurrence_on_oracle_states(name):
+    # the exact radial rule reads the angular mean at its nodes off the
+    # cached node tensor where D fits the cache, and from the displacement
+    # recurrence otherwise (squeezed 1.5, D = 223); both give one I and one
+    # quadrature purity
+    state = ORACLE_STATES[name]()
+    chi = char_of(state)
+    D = chi.levels
+    u, scaled = _laguerre_rule(D)
+    ref = _angular_mean_sq(state.data, np.sqrt(u))
+    s = ref
+    if _node_rule_fits(D):
+        node_u, node_scaled, tensor = _node_rule(D)
+        assert (node_u == u).all() and (node_scaled == scaled).all()
+        s = _angular_mean_sq_at_nodes(state.data, tensor)
+        assert np.abs(s - ref).max() <= 1e-14 * ref.max()
+    else:
+        assert name == "squeezed1.5"
+    value = 0.5 * (u - 1.0) @ (scaled * ref)
+    assert abs(scaled @ s - scaled @ ref) <= 1e-14
+    res = measure_char_quadrature(chi)
+    assert abs(res.value - value) <= 1e-14 * max(1.0, abs(value))
+
+
+def test_node_rule_above_the_cache_cap_takes_the_recurrence():
+    # make_scs(4.5) occupies 57 levels, past the 50 the cache admits: the
+    # route reruns the recurrence, caches no tensor, and meets the value
+    # that an uncached tensor gives
+    state = catalog.make_scs(4.5)
+    chi = char_of(state)
+    assert chi.levels == 57 and not _node_rule_fits(57) and _node_rule_fits(50)
+    with pytest.raises(ValueError, match="57-node tensor"):
+        _node_rule(57)
+    before = _node_rule.cache_info()
+    res = measure_char_quadrature(chi)
+    after = _node_rule.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    u, scaled, tensor = _gauss_laguerre(57, True)
+    value = 0.5 * (u - 1.0) @ (scaled * _angular_mean_sq_at_nodes(state.data, tensor))
+    assert res.value == pytest.approx(value, rel=1e-14, abs=0)
+    assert res.value == pytest.approx(measure_operator(state).value, rel=1e-12)
+
+
+def test_node_rule_cache_stays_within_its_bytes():
+    # 16 rules at n = 35 .. 50 hold 10.2 MB together; the cache keeps the
+    # last 8 of them, within its stated 8 MiB
+    slots = _node_rule.cache_parameters()["maxsize"]
+    assert slots * _NODE_RULE_BYTES <= 8 << 20
+    _node_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for n in range(35, 51):
+            _node_rule(n)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert _node_rule.cache_info().currsize == slots
+    assert held <= slots * _NODE_RULE_BYTES
+
+
+def test_import_builds_no_node_rule():
+    # rules and tensors are built on first use, so import time does not pay them
+    code = ("import sys, macroq; m = sys.modules['macroq.measure']; "
+            "print(m._node_rule.cache_info().currsize, m._laguerre_rule.cache_info().currsize)")
+    src = str(Path(macroq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_default_points_follow_fock_bandwidth():
