@@ -15,7 +15,7 @@ from .measure import (ConvergenceError, MeasureResult, measure,
 from .phasespace import (Axis, DenseChar, WignerGrid, char_of, fringe_frequency,
                          load_wigner, save_wigner, wigner_of, wigner_points)
 from .lowrank import measure_lowrank
-from .catalog import (GaussianChar, ThermalSCSChar, closed_form_decohered_scs,
+from .catalog import (GaussianChar, Named, ThermalSCSChar, closed_form_decohered_scs,
                       closed_form_scs, dur_asymptotic, dur_exact, dur_measure,
                       gaussian_decohere, gaussian_measure, make_coherent,
                       make_decohered_scs, make_dur, make_fock, make_ghz,

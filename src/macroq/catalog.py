@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, i0e, j0
@@ -46,6 +47,13 @@ def _require_finite(**params) -> None:
     for name, value in params.items():
         if not np.isfinite(value):
             raise ValueError(f"{name} is not finite: {value!r}")
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int, refusing by name a count that is not a whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} is not an integer: {value!r}")
+    return int(value)
 
 
 def _two_branch(branch: np.ndarray, gamma: float, full: float, context: str) -> DensityMatrix:
@@ -84,10 +92,10 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
 # dense single-mode states
 
 def make_fock(n: int, cutoff: int | None = None) -> DensityMatrix:
-    n = int(n)
+    n = _whole("n", n)
     if n < 0:
         raise ValueError("Fock index must be nonnegative")
-    cutoff = int(cutoff) if cutoff is not None else n + 2
+    cutoff = _whole("cutoff", cutoff) if cutoff is not None else n + 2
     if cutoff <= n:
         raise TruncationLeakError(f"Fock state |{n}> needs a cutoff above {n}")
     amp = np.zeros(cutoff, dtype=complex)
@@ -97,7 +105,7 @@ def make_fock(n: int, cutoff: int | None = None) -> DensityMatrix:
 
 def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     _require_finite(alpha=alpha)
-    cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
+    cutoff = _whole("cutoff", cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
     amp = _coherent_amplitudes(alpha, cutoff)
     norm2 = float(np.sum(np.abs(amp) ** 2))
     _leak_gate(1.0 - norm2, f"coherent alpha={alpha}")
@@ -107,7 +115,7 @@ def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
 def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     """Even superposition of |alpha> and |-alpha>."""
     _require_finite(alpha=alpha)
-    cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
+    cutoff = _whole("cutoff", cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
     amp = _coherent_amplitudes(alpha, cutoff)
     return _two_branch(np.outer(amp, amp.conj()), 1.0,
                        2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)),
@@ -117,7 +125,7 @@ def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
 def make_mixture_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     """Classical fifty-fifty mixture of |alpha> and |-alpha>."""
     _require_finite(alpha=alpha)
-    cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
+    cutoff = _whole("cutoff", cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
     amp = _coherent_amplitudes(alpha, cutoff)
     return _two_branch(np.outer(amp, amp.conj()), 0.0, 2.0, f"mixture alpha={alpha}")
 
@@ -132,7 +140,7 @@ def make_decohered_scs(alpha: float, tau: float, cutoff: int | None = None) -> D
     _require_finite(alpha=alpha, tau=tau)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(alpha ** 2)
+    cutoff = _whole("cutoff", cutoff) if cutoff is not None else suggest_cutoff(alpha ** 2)
     beta = np.exp(-0.5 * tau) * abs(alpha)
     gamma = np.exp(-2.0 * (1.0 - np.exp(-tau)) * alpha ** 2)
     amp = _coherent_amplitudes(beta, cutoff)
@@ -146,7 +154,7 @@ def make_thermal(nbar: float, cutoff: int | None = None) -> DensityMatrix:
     _require_finite(nbar=nbar)
     if nbar < 0:
         raise ValueError("mean occupation must be nonnegative")
-    cutoff = int(cutoff) if cutoff is not None else suggest_cutoff(nbar)
+    cutoff = _whole("cutoff", cutoff) if cutoff is not None else suggest_cutoff(nbar)
     if nbar == 0.0:
         return make_fock(0, cutoff)
     q = nbar / (1.0 + nbar)
@@ -184,13 +192,13 @@ def make_squeezed(s: float, cutoff: int | None = None) -> DensityMatrix:
             if 1.0 - norm2 < 1e-8:
                 break
             cutoff *= 2
-    amp, norm2 = _squeezed_amplitudes(s, int(cutoff))
+    amp, norm2 = _squeezed_amplitudes(s, _whole("cutoff", cutoff))
     _leak_gate(1.0 - norm2, f"squeezed s={s}")
     return _pure(amp / np.sqrt(norm2))
 
 
 def make_maximally_mixed(dim: int) -> DensityMatrix:
-    dim = int(dim)
+    dim = _whole("dim", dim)
     return DensityMatrix(ModeCutoffs((dim,)), np.eye(dim, dtype=complex) / dim)
 
 
@@ -210,7 +218,7 @@ def make_thermal_scs(V: float, d: float, cutoff: int | None = None) -> DensityMa
         raise ValueError("V must be at least 1")
     nbar = 0.5 * (V - 1.0)
     # default: cover the ensemble five widths out, not just the mean occupation
-    cutoff = (int(cutoff) if cutoff is not None
+    cutoff = (_whole("cutoff", cutoff) if cutoff is not None
               else suggest_cutoff((d + 5.0 * np.sqrt(nbar)) ** 2 + 25.0 * nbar))
     # thermal levels up to where q^k falls below 1e-18, at least the cutoff and
     # at most twice it.  Dropped levels only lower the truncated trace, so the
@@ -231,7 +239,7 @@ def make_thermal_scs(V: float, d: float, cutoff: int | None = None) -> DensityMa
 
 def make_ghz(n_modes: int) -> DensityMatrix:
     """(|0...0> + |1...1>) / sqrt(2) over n_modes two-level modes."""
-    n_modes = int(n_modes)
+    n_modes = _whole("n_modes", n_modes)
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
     return DensityMatrix.superposition([[e0] * n_modes, [e1] * n_modes])
@@ -239,7 +247,7 @@ def make_ghz(n_modes: int) -> DensityMatrix:
 
 def make_noon(n: int) -> DensityMatrix:
     """(|n, 0> + |0, n>) / sqrt(2) on two modes."""
-    n = int(n)
+    n = _whole("n", n)
     if n < 1:
         raise ValueError("photon number must be positive")
     top = np.zeros(n + 1)
@@ -255,7 +263,7 @@ def make_dur(n_modes: int, epsilon: float) -> DensityMatrix:
     Each branch is a product of qubit kets cos(eps/2)|0> +- sin(eps/2)|1>, so
     the single-mode branch overlap is cos(eps).
     """
-    n_modes = int(n_modes)
+    n_modes = _whole("n_modes", n_modes)
     _require_finite(epsilon=epsilon)
     th = 0.5 * float(epsilon)
     u = np.array([np.cos(th), np.sin(th)])
@@ -269,7 +277,7 @@ def dur_exact(n_modes: int, epsilon: float) -> float:
     The mode averages of a vanish by symmetry, so I equals the total
     occupation of the normalized superposition.
     """
-    N = int(n_modes)
+    N = _whole("n_modes", n_modes)
     th = 0.5 * float(epsilon)
     c = np.cos(float(epsilon))
     return N * np.sin(th) ** 2 * (1.0 - c ** (N - 1)) / (1.0 + c ** N)
@@ -277,7 +285,7 @@ def dur_exact(n_modes: int, epsilon: float) -> float:
 
 def dur_asymptotic(n_modes: int, epsilon: float) -> float:
     """Large-N, small-epsilon limit of :func:`dur_exact`."""
-    return int(n_modes) * float(epsilon) ** 2 / 4.0
+    return _whole("n_modes", n_modes) * float(epsilon) ** 2 / 4.0
 
 
 def dur_measure(n_modes: int, epsilon: float) -> MeasureResult:
@@ -504,3 +512,64 @@ def thermal_scs_measure(V: float, d: float) -> MeasureResult:
                      - 8.0 * np.exp(-S * V * V / U) * R * (R * U + 4.0 * d ** 2 * (V + 1.0)) / U ** 3)
     return MeasureResult(value=float(value), route="closed-form", mean_n=chi.mean_n,
                          purity=chi.purity, err_estimate=0.0)
+
+
+# ---------------------------------------------------------------------------
+# states by name
+
+@dataclass(frozen=True)
+class StateEntry:
+    """How one named state is built and measured, and the route it takes by default.
+
+    ``build(*params, cutoff)`` returns the object ``measure()`` takes, with
+    ``params`` the values of ``names`` in order; ``closed(*params)`` is the
+    closed form of the untruncated state and ``char(*params)`` its analytic
+    characteristic function, which the char-quadrature route integrates.
+    """
+
+    names: tuple[str, ...]
+    route: str
+    build: Callable
+    closed: Callable | None = None
+    char: Callable | None = None
+
+
+STATES = {
+    "fock": StateEntry(("n",), "operator", make_fock),
+    "coherent": StateEntry(("alpha",), "operator", make_coherent),
+    "scs": StateEntry(("alpha",), "operator", make_scs, closed=closed_form_scs),
+    "mixture-scs": StateEntry(("alpha",), "closed-form", make_mixture_scs,
+                              closed=mixture_scs_measure),
+    "decohered-scs": StateEntry(("alpha", "tau"), "closed-form", make_decohered_scs,
+                                closed=closed_form_decohered_scs),
+    "squeezed": StateEntry(("s",), "operator", make_squeezed,
+                           closed=lambda s: gaussian_measure(*squeezed_char_params(s))),
+    "gaussian": StateEntry(("A", "B"), "closed-form", lambda A, B, cut: GaussianChar(A, B),
+                           closed=gaussian_measure),
+    "thermal": StateEntry(("nbar",), "closed-form", make_thermal, closed=thermal_measure,
+                          char=lambda nbar: GaussianChar(2 * nbar + 1, 2 * nbar + 1)),
+    "thermal-scs": StateEntry(("V", "d"), "closed-form", make_thermal_scs,
+                              closed=thermal_scs_measure, char=ThermalSCSChar),
+    "ghz": StateEntry(("n-modes",), "low-rank", lambda n, cut: make_ghz(n)),
+    "noon": StateEntry(("n",), "low-rank", lambda n, cut: make_noon(n)),
+    "dur": StateEntry(("n-modes", "epsilon"), "low-rank",
+                      lambda n, eps, cut: make_dur(n, eps), closed=dur_measure),
+    "maximally-mixed": StateEntry(("dim",), "operator",
+                                  lambda dim, cut: make_maximally_mixed(dim)),
+}
+
+
+@dataclass(frozen=True)
+class Named:
+    """A state of :data:`STATES` by name and parameters, built only when a route needs it."""
+
+    name: str
+    params: tuple
+    cutoff: int | None = None
+
+    def __post_init__(self):
+        if self.name not in STATES:
+            raise ValueError(f"unknown state {self.name!r}; states are {', '.join(STATES)}")
+
+    def build(self):
+        return STATES[self.name].build(*self.params, self.cutoff)

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -56,58 +55,8 @@ def _finite_float(text: str) -> float:
 # ---------------------------------------------------------------------------
 # state construction from flags
 
-@dataclasses.dataclass(frozen=True)
-class StateEntry:
-    """How one ``--state`` name is built and measured.
-
-    ``build(*values, cutoff)`` returns the object ``measure()`` takes, with
-    ``values`` read from ``flags`` in order; ``closed(*values)`` is the
-    closed form and ``char(*values)`` the analytic characteristic function
-    that ``--route char-quadrature`` integrates in place of the built state.
-    """
-
-    flags: tuple[str, ...]
-    route: str
-    build: Callable
-    closed: Callable | None = None
-    char: Callable | None = None
-
-
-STATES = {
-    "fock": StateEntry(("n",), "operator", catalog.make_fock),
-    "coherent": StateEntry(("alpha",), "operator", catalog.make_coherent),
-    "scs": StateEntry(("alpha",), "operator", catalog.make_scs,
-                      closed=catalog.closed_form_scs),
-    "mixture-scs": StateEntry(("alpha",), "closed-form", catalog.make_mixture_scs,
-                              closed=catalog.mixture_scs_measure),
-    "decohered-scs": StateEntry(("alpha", "tau"), "closed-form",
-                                catalog.make_decohered_scs,
-                                closed=catalog.closed_form_decohered_scs),
-    "squeezed": StateEntry(("s",), "operator", catalog.make_squeezed,
-                           closed=lambda s: catalog.gaussian_measure(
-                               *catalog.squeezed_char_params(s))),
-    "gaussian": StateEntry(("A", "B"), "closed-form",
-                           lambda A, B, cut: catalog.GaussianChar(A, B),
-                           closed=catalog.gaussian_measure),
-    "thermal": StateEntry(("nbar",), "closed-form", catalog.make_thermal,
-                          closed=catalog.thermal_measure,
-                          char=lambda nbar: catalog.GaussianChar(2 * nbar + 1,
-                                                                 2 * nbar + 1)),
-    "thermal-scs": StateEntry(("V", "d"), "closed-form", catalog.make_thermal_scs,
-                              closed=catalog.thermal_scs_measure,
-                              char=catalog.ThermalSCSChar),
-    "ghz": StateEntry(("n-modes",), "low-rank", lambda n, cut: catalog.make_ghz(n)),
-    "noon": StateEntry(("n",), "low-rank", lambda n, cut: catalog.make_noon(n)),
-    "dur": StateEntry(("n-modes", "epsilon"), "low-rank",
-                      lambda n, eps, cut: catalog.make_dur(n, eps),
-                      closed=catalog.dur_measure),
-    "maximally-mixed": StateEntry(("dim",), "operator",
-                                  lambda dim, cut: catalog.make_maximally_mixed(dim)),
-}
-
-
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", required=True, choices=tuple(STATES))
+    p.add_argument("--state", required=True, choices=tuple(catalog.STATES))
     p.add_argument("--n", type=int, help="photon number (fock, noon)")
     p.add_argument("--alpha", type=_finite_float, help="coherent amplitude")
     p.add_argument("--tau", type=_finite_float, help="damping time (decohered-scs)")
@@ -138,15 +87,15 @@ def _resolve_cutoff(args) -> int | None:
     return None
 
 
-def _state_args(parser, args) -> tuple[StateEntry, list, int | None]:
-    """The chosen STATES entry, its flag values in order, and the Fock cutoff."""
+def _named(parser, args) -> catalog.Named:
+    """The ``--state`` request as a named state: its flag values in order, and the Fock cutoff."""
     cut = _resolve_cutoff(args)
-    entry = STATES[args.state]
-    values = [getattr(args, flag.replace("-", "_")) for flag in entry.flags]
-    for flag, value in zip(entry.flags, values):
+    flags = catalog.STATES[args.state].names
+    values = tuple(getattr(args, flag.replace("-", "_")) for flag in flags)
+    for flag, value in zip(flags, values):
         if value is None:
             parser.error(f"--state {args.state} requires --{flag}")
-    return entry, values, cut
+    return catalog.Named(args.state, values, cut)
 
 
 def _dense(state) -> DensityMatrix:
@@ -160,18 +109,7 @@ def _dense(state) -> DensityMatrix:
 # subcommands
 
 def cmd_measure(parser, args) -> int:
-    entry, values, cut = _state_args(parser, args)
-    route = args.route or entry.route
-    if route == "closed-form":
-        if entry.closed is None:
-            raise ValueError(f"the closed-form route needs a closed form, "
-                             f"which state {args.state} lacks")
-        res = entry.closed(*values)
-    elif route == "char-quadrature" and entry.char is not None:
-        res = measure(entry.char(*values), route)
-    else:
-        res = measure(entry.build(*values, cut), route)
-    _emit_json(res.as_dict())
+    _emit_json(measure(_named(parser, args), args.route).as_dict())
     return 0
 
 
@@ -224,8 +162,8 @@ def cmd_sweep(parser, args) -> int:
 
 
 def cmd_emit_wigner(parser, args) -> int:
-    entry, values, cut = _state_args(parser, args)
-    state = _dense(entry.build(*values, cut))
+    named = _named(parser, args)
+    state = _dense(named.build())
     if state.modes > 1:
         raise ValueError(f"Wigner grids are single-mode, and state {args.state} "
                          f"has {state.modes} modes")
@@ -238,7 +176,7 @@ def cmd_emit_wigner(parser, args) -> int:
         axes = {"x_axis": ax, "p_axis": ax}
     grid = phasespace.wigner_of(state, points=args.points, **axes)
     words = [args.state]  # e.g. "scs alpha=2"
-    for flag, v in zip(entry.flags, values):
+    for flag, v in zip(catalog.STATES[args.state].names, named.params):
         words.append(f"{flag.replace('-', '_')}={format(v, 'g') if isinstance(v, float) else v}")
     grid.meta["state"] = " ".join(words)
     phasespace.save_wigner(grid, args.output)
@@ -260,8 +198,7 @@ def cmd_score_wigner(parser, args) -> int:
 
 
 def cmd_evolve(parser, args) -> int:
-    entry, values, cut = _state_args(parser, args)
-    state = _dense(entry.build(*values, cut))
+    state = _dense(_named(parser, args).build())
     times = np.linspace(0.0, args.t_max, args.samples)
     traj = dynamics.evolve(state, times)
     lines = ["tau,I,purity,mean_n"]

@@ -154,7 +154,8 @@ def _angular_mean(chi):
     return s
 
 
-def _probe_radial_cut(s, mean_n: float | None = None) -> tuple[float, tuple]:
+def _probe_radial_cut(s, mean_n: float | None = None,
+                      purity: float | None = None) -> tuple[float, tuple]:
     """Walk outward in unit steps until the integrand weight is negligible.
 
     The walk stops at the first radius where r^3 s(r) < 1e-15 and s is not
@@ -165,10 +166,17 @@ def _probe_radial_cut(s, mean_n: float | None = None) -> tuple[float, tuple]:
     <n> >= |beta|^2 tanh |beta|^2, so once the branches are split far enough
     to leave a gap between the centre and the wings, the walk starts within
     a few per cent of the wings or past them, and never stops in that gap.
+    When the state's purity P is known, the 30 units of the cap grow to
+    30 / sqrt(P): a chi broadened V-fold, as the thermal superposition is,
+    has wings about sqrt(V) wide and a purity of about 1 / V.  The steps
+    widen past unit length where needed to keep the walk to 3000 radii, so
+    its arrays stay at tens of kilobytes; up to a purity of 1e-4 they are
+    unit steps.
     """
     start = 2.0 if mean_n is None else max(2.0, 2.0 * np.sqrt(max(mean_n, 0.0)))
-    cap = 30.0 if mean_n is None else start + 30.0
-    radii = np.arange(start, cap, 1.0)
+    reach = 30.0 / np.sqrt(min(purity, 1.0)) if purity else 30.0
+    cap = reach if mean_n is None else start + reach
+    radii = np.arange(start, cap, max(1.0, (cap - start) / 3000.0))
     prev = np.inf
     for r, cur in zip(radii, s(radii)):
         if cur * r ** 3 < 1e-15 and cur <= prev:
@@ -381,6 +389,7 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
     s = _angular_mean(chi)
     levels = getattr(chi, "levels", None)
     mean_attr = getattr(chi, "mean_n", None)
+    pur_attr = getattr(chi, "purity", None)
     warns = []
     if levels is not None and radial_cut is None:
         D = int(levels)
@@ -396,7 +405,7 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
         hint = f"the {D}-node rule does not close the state's purity"
     else:
         if radial_cut is None:
-            R, capped = _probe_radial_cut(s, mean_attr)
+            R, capped = _probe_radial_cut(s, mean_attr, pur_attr)
             warns.extend(capped)
         else:
             R = float(radial_cut)
@@ -411,7 +420,6 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
         hint = ("the radial integrand is not finite" if not np.isfinite(value)
                 else "the radial cut is likely too small for this state")
     mean = float(mean_attr) if mean_attr is not None else _mean_n_from_char(chi)
-    pur_attr = getattr(chi, "purity", None)
     purity = quad_p if pur_attr is None else float(pur_attr)
     err += abs(quad_p - purity)  # the purity closure, 0 when chi carries none
 
@@ -516,6 +524,10 @@ def measure_wigner_grid(grid: phasespace.WignerGrid) -> MeasureResult:
 def measure(state, route: str | None = None) -> MeasureResult:
     """Evaluate I by the named route, or by the one the state's form implies.
 
+    A ``catalog.Named`` state takes its entry's route by default.  Its
+    ``closed-form`` and analytic-chi ``char-quadrature`` ignore the cutoff
+    and build no Fock state; any other route measures the built state.
+
     Without a route, a ``DensityMatrix`` in product form (one with ``kets``)
     takes ``low-rank``, any other ``DensityMatrix`` takes ``operator`` and
     any other object, taken to be a characteristic function
@@ -526,8 +538,22 @@ def measure(state, route: str | None = None) -> MeasureResult:
     that lacks the form a route needs, and an unknown route, raise
     ValueError.
     """
-    from .lowrank import measure_lowrank  # lowrank imports this module
+    from .catalog import STATES, Named  # catalog and lowrank import this module
+    from .lowrank import measure_lowrank
 
+    routes = ("operator", "char-quadrature", "wigner-grid", "low-rank", "closed-form")
+    if route is not None and route not in routes:
+        raise ValueError(f"unknown route {route!r}; routes are {', '.join(routes)}")
+    if isinstance(state, Named):
+        entry = STATES[state.name]
+        route = route or entry.route
+        if route == "closed-form":
+            if entry.closed is None:
+                raise ValueError(f"the closed-form route needs a closed form, "
+                                 f"which state {state.name} lacks")
+            return entry.closed(*state.params)
+        use_char = route == "char-quadrature" and entry.char is not None
+        state = entry.char(*state.params) if use_char else state.build()
     dense = isinstance(state, DensityMatrix)
     product = dense and state.kets is not None
     modes = getattr(state, "modes", 1)  # a characteristic function has one
@@ -537,9 +563,8 @@ def measure(state, route: str | None = None) -> MeasureResult:
     needs = {"operator": (dense, "a Fock-space form"),
              "char-quadrature": (modes == 1, "a single-mode form"),
              "wigner-grid": (dense and modes == 1, "a single-mode Fock-space form"),
-             "low-rank": (product, "a product form")}
-    if route not in needs:
-        raise ValueError(f"unknown route {route!r}; routes are {', '.join(needs)}")
+             "low-rank": (product, "a product form"),
+             "closed-form": (False, "a named catalog state")}
     fits, form = needs[route]
     if not fits:
         shape = f" of {modes} modes" if modes > 1 else ""

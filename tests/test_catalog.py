@@ -278,6 +278,36 @@ def test_constructors_name_a_non_finite_parameter(make, name):
         make()
 
 
+# each count a constructor takes, as a function of the count
+_COUNTS = {
+    "fock-n": (lambda k: catalog.make_fock(k), "n"),
+    "fock-cutoff": (lambda k: catalog.make_fock(1, k), "cutoff"),
+    "coherent": (lambda k: catalog.make_coherent(0.1, k), "cutoff"),
+    "scs": (lambda k: catalog.make_scs(0.1, k), "cutoff"),
+    "mixture-scs": (lambda k: catalog.make_mixture_scs(0.1, k), "cutoff"),
+    "decohered-scs": (lambda k: catalog.make_decohered_scs(0.1, 0.3, k), "cutoff"),
+    "thermal": (lambda k: catalog.make_thermal(0.01, k), "cutoff"),
+    "squeezed": (lambda k: catalog.make_squeezed(0.01, k), "cutoff"),
+    "thermal-scs": (lambda k: catalog.make_thermal_scs(1.0, 0.1, k), "cutoff"),
+    "maximally-mixed": (lambda k: catalog.make_maximally_mixed(k), "dim"),
+    "ghz": (lambda k: catalog.make_ghz(k), "n_modes"),
+    "noon": (lambda k: catalog.make_noon(k), "n"),
+    "dur": (lambda k: catalog.make_dur(k, 0.3), "n_modes"),
+}
+
+
+@pytest.mark.parametrize("make, name", list(_COUNTS.values()), ids=list(_COUNTS))
+def test_constructors_name_a_non_integral_count(make, name):
+    # int() truncated them: make_fock(2.5) built |2>, make_ghz(2.7) two modes
+    for bad in (2.5, 2.7, np.nan):
+        with pytest.raises(ValueError, match=f"^{name} is not an integer"):
+            make(bad)
+    ref = make(3)
+    for k in (3.0, np.int64(3)):
+        state = make(k)
+        assert state.cutoffs == ref.cutoffs and np.array_equal(state.data, ref.data)
+
+
 def test_thermal_scs_pure_limit():
     # V = 1 collapses onto the plain superposition formulas
     assert catalog.thermal_scs_measure(1.0, 1.4).value == pytest.approx(
@@ -303,6 +333,10 @@ def test_dur_exact_matches_lowrank_and_asymptotics():
 def test_dur_exact_degenerate_cases():
     assert catalog.dur_exact(1, 0.4) == pytest.approx(0.0, abs=1e-15)
     assert catalog.dur_exact(5, 0.0) == pytest.approx(0.0, abs=1e-15)
+    # a mode count is whole, as make_dur requires
+    for formula in (catalog.dur_exact, catalog.dur_asymptotic, catalog.dur_measure):
+        with pytest.raises(ValueError, match="^n_modes is not an integer"):
+            formula(4.5, 0.3)
 
 
 def test_ghz_noon_constructors():

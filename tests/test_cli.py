@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from macroq import catalog, phasespace
-from macroq.cli import STATES, main
-from macroq.measure import measure_operator
+from macroq.catalog import STATES
+from macroq.cli import _sig12, main
+from macroq.measure import measure, measure_operator
 
 
 def run(capsys, *argv):
@@ -97,6 +98,20 @@ def test_measure_ghz_operator_route_refuses_an_oversized_factor(capsys):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert "exceeds the 4194304 limit" in payload["message"]
+
+
+def test_measure_closed_form_matches_the_library(capsys):
+    # one dispatcher: the CLI prints what measure() returns for the named state
+    for name, (flags, _) in DEFAULT_ROUTES.items():
+        if STATES[name].closed is None:
+            continue
+        values = dict(zip(flags[::2], flags[1::2]))
+        params = tuple(json.loads(values["--" + p]) for p in STATES[name].names)
+        rc, out, err = run(capsys, "measure", "--state", name, *flags,
+                           "--route", "closed-form")
+        assert rc == 0 and err == "", name
+        lib = measure(catalog.Named(name, params), "closed-form").as_dict()
+        assert json.loads(out) == _sig12(lib), name
 
 
 def test_measure_dur_routes_agree(capsys):
@@ -437,3 +452,10 @@ def test_quadrature_on_thermal_scs_reaches_its_wings(capsys):
     assert payload["value"] == pytest.approx(catalog.thermal_scs_measure(2.0, 20.0).value,
                                              abs=payload["err_estimate"])
     assert payload["purity"] == 0.5
+    # V = 100, d = 10: wings about 10 wide, which a cap 30 past that start
+    # cut off (exit 1); the cap grows with 1 / sqrt(purity) = 10.5
+    rc, out, err = run(capsys, "measure", "--state", "thermal-scs", "--V", "100",
+                       "--d", "10", "--route", "char-quadrature")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["value"] == pytest.approx(
+        catalog.thermal_scs_measure(100.0, 10.0).value, rel=1e-11)

@@ -11,7 +11,9 @@ from macroq.fock import (DensityMatrix, ModeCutoffs, annihilation_op, exchange_t
 from macroq.measure import (
     ConvergenceError,
     MeasureResult,
+    _angular_mean,
     _laguerre_rule,
+    _probe_radial_cut,
     measure,
     measure_char_quadrature,
     measure_operator,
@@ -273,12 +275,31 @@ def test_quadrature_route_reaches_thermal_scs_wings_at_any_displacement():
     # them from d = 8.75 (V = 1), 10 (V = 2) and 14.25 (V = 4) on and
     # raises just below those onsets, so the scan runs past each.  Started
     # at 2 sqrt(<n>), the probe reaches them at every d, and err_estimate
-    # covers the gap to the closed form
-    for V in (1.0, 2.0, 4.0, 8.0, 20.0, 60.0):
+    # covers the gap to the closed form.  From V = 100 on the wings, about
+    # sqrt(V) wide, outgrow a cap 30 past the start: it raised at 104 of
+    # the 121 d at V = 100 and at all of them at V = 200 and 1000, until
+    # the cap grew with 1 / sqrt(purity)
+    for V in (1.0, 2.0, 4.0, 8.0, 20.0, 60.0, 100.0, 200.0, 1000.0):
         for d in np.arange(121) * 0.25:
             res = measure_char_quadrature(catalog.ThermalSCSChar(V, d))
             gap = abs(res.value - catalog.thermal_scs_measure(V, d).value)
             assert gap <= res.err_estimate, (V, d, gap, res.err_estimate)
+
+
+def test_probe_walk_stays_small_for_very_mixed_states():
+    # a cap 30 / sqrt(P) past the start spans 4.2e7 unit steps at nbar = 1e12
+    # and 3e11 at A = B = 1e20; the walk coarsens its steps to stay at 3000
+    # radii, and a V = 1e12 superposition, whose wings are 1e6 wide, still
+    # reaches them
+    for chi in (catalog.GaussianChar(2e12 + 1, 2e12 + 1), catalog.GaussianChar(1e20, 1e20),
+                catalog.ThermalSCSChar(1e12, 0.0)):
+        s, sizes = _angular_mean(chi), []
+        _, capped = _probe_radial_cut(lambda r: sizes.append(np.size(r)) or s(r),
+                                      chi.mean_n, chi.purity)
+        assert capped == () and max(sizes) <= 3001
+    assert measure(catalog.Named("thermal", (1e14,)), "char-quadrature").value == 0.0
+    res = measure_char_quadrature(catalog.ThermalSCSChar(1e12, 0.0))
+    assert abs(res.value - catalog.thermal_scs_measure(1e12, 0.0).value) <= res.err_estimate
 
 
 @pytest.mark.parametrize("chi", [catalog.ThermalSCSChar(4.0, 2.0),
@@ -496,6 +517,60 @@ def test_dispatcher_routes_and_ket_support():
         measure(two, "char-quadrature")
 
 
-def test_dispatcher_rejects_unknown_route():
+def test_dispatcher_rejects_unknown_route(monkeypatch):
     with pytest.raises(ValueError):
         measure(catalog.make_fock(0), route="monte-carlo")
+    # a named state is refused before it is built: V = 1000, d = 50 would
+    # size 39,840 levels
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock state was built")
+
+    for name in ("__init__", "_from_hermitian", "product"):
+        monkeypatch.setattr(DensityMatrix, name, refuse)
+    with pytest.raises(ValueError, match="^unknown route 'char_quadrature'"):
+        measure(catalog.Named("thermal-scs", (1000, 50)), "char_quadrature")
+    with pytest.raises(ValueError, match="^unknown state 'thermal_scs'"):
+        catalog.Named("thermal_scs", (1000, 50))
+
+
+# small parameters for every named state with a closed form
+_CLOSED = {"scs": (1.2,), "mixture-scs": (1.0,), "decohered-scs": (1.0, 0.3),
+           "squeezed": (0.5,), "gaussian": (3.0, 0.5), "thermal": (0.5,),
+           "thermal-scs": (2.0, 1.0), "dur": (4, 0.3)}
+
+
+def test_named_states_answer_closed_form_and_analytic_chi_without_a_fock_state(monkeypatch):
+    # both describe the untruncated state, so neither may build it: a build
+    # sizes its cutoff from the parameters (thermal-scs V = 1000, d = 50
+    # would take 39,840 levels) and refuses a cutoff that misses the state
+    # (thermal-scs V = 2, d = 3 at cutoff 20)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock state was built")
+
+    for name in ("__init__", "_from_hermitian", "product"):
+        monkeypatch.setattr(DensityMatrix, name, refuse)
+    assert set(_CLOSED) == {name for name, e in catalog.STATES.items() if e.closed}
+    for name, params in _CLOSED.items():
+        res = measure(catalog.Named(name, params, cutoff=3), "closed-form")
+        assert res == catalog.STATES[name].closed(*params), name
+        if name in ("thermal", "thermal-scs", "gaussian"):
+            quad = measure(catalog.Named(name, params, cutoff=3), "char-quadrature")
+            assert quad.route == "char-quadrature"
+            assert quad.value == pytest.approx(res.value, abs=quad.err_estimate + 1e-14), name
+    assert measure(catalog.Named("thermal-scs", (2, 20)), "closed-form").value == 200.0625
+    res = measure(catalog.Named("thermal-scs", (2.0, 3.0), cutoff=20), "closed-form")
+    assert res.value == pytest.approx(4.56193597106, abs=1e-11)
+
+
+def test_closed_form_route_needs_a_named_state_with_a_closed_form():
+    lacking = {"fock": (2,), "coherent": (0.8,), "ghz": (3,), "noon": (2,),
+               "maximally-mixed": (4,)}
+    assert set(lacking) == {name for name, e in catalog.STATES.items() if e.closed is None}
+    for name, params in lacking.items():
+        with pytest.raises(ValueError, match=f"^the closed-form route needs a closed form, "
+                                             f"which state {name} lacks$"):
+            measure(catalog.Named(name, params), "closed-form")
+    # any other input names the route and what it takes
+    with pytest.raises(ValueError, match="^the closed-form route needs a named catalog "
+                                         "state, not a DensityMatrix$"):
+        measure(catalog.make_thermal(0.5), "closed-form")
