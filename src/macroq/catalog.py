@@ -10,7 +10,9 @@ Constructors check the requested cutoff against the analytic norm of the
 state: a tail above ``fock.LEAK_TOL`` (1e-6) draws a warning, and a
 tail above 1e-2 (a state that plainly does not fit) raises.  The warning
 rather than an error matters: deliberately truncated states are legitimate
-objects of study here.
+objects of study here.  The pure states cut from a known untruncated one
+(Fock, coherent, even-cat and squeezed) carry in ``tail`` a bound on how far
+the cut moves I, which ``measure()`` adds to its error bar.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .fock import (LEAK_TOL, DensityMatrix, ModeCutoffs, TruncationLeakError,
 from .measure import MeasureResult
 
 _HARD_LEAK = 1e-2
+# where the default cutoffs of the geometric-tailed states stop growing: past
+# it make_thermal refuses through the leak gate, and make_squeezed stops
+# doubling once it reaches it
+_MAX_AUTO_CUTOFF = 4096
 # ln 2 as the sum of two doubles
 _LN2_HI = 0.6931471805599453
 _LN2_LO = 2.3190468138462996e-17
@@ -76,6 +82,70 @@ def _pure(amp: np.ndarray) -> DensityMatrix:
     return DensityMatrix(ModeCutoffs((amp.size,)), np.outer(amp, amp.conj()))
 
 
+_TAIL_BLOCK = 1024  # levels per pass of the sums past a cutoff
+
+
+def _tail_moments(log_p: Callable, cutoff: int) -> tuple[float, float]:
+    """eps = sum p_n and T = sum n p_n over the levels n >= cutoff.
+
+    ``log_p(n)`` gives log p_n of the untruncated state on an integer array,
+    -inf where p_n = 0.  The sums run over the levels past the cutoff
+    themselves, a block at a time, until a block adds nothing to T: formed
+    as <n> minus the sum of the kept levels, T would lose every digit once
+    it fell below about 1e-13 <n>.  Every distribution summed here falls off
+    monotonically past a cutoff the leak gate accepts, so once a block adds
+    nothing no later one does.
+    """
+    eps = T = 0.0
+    lo = cutoff
+    while True:
+        n = np.arange(lo, lo + _TAIL_BLOCK)
+        p = np.exp(log_p(n))
+        eps += float(p.sum())
+        added = float(n @ p)
+        T += added
+        if not added > 1e-17 * T:  # a NaN stops the sums too
+            return eps, T
+        lo += _TAIL_BLOCK
+
+
+def _with_tail(state: DensityMatrix, log_p: Callable | None) -> DensityMatrix:
+    """``state`` with ``tail`` set to a bound B on |I(state) - I(psi)|, 0 when
+    ``log_p`` is None: the state is psi itself.
+
+    psi is the pure untruncated state whose populations p_n are exp(log_p(n))
+    and ``state`` its first d levels, renormalized.  With eps and T the norm
+    and the occupation sum n p_n that the cutoff drops (:func:`_tail_moments`),
+    and <n>, p_top = rho[d-1, d-1] and <a> those of ``state``, I = <n> -
+    |<a>|^2 of a pure state moves as follows:
+
+    - <n> by T - eps <n>;
+    - <a> by -eps <a> + c, where c = sqrt(d) psi_{d-1} psi_d + sum_{n>=d}
+      sqrt(n+1) psi_n psi_{n+1}: Cauchy-Schwarz bounds the second part by
+      sqrt(eps T) and the first by sqrt(p_top T), so |c| <= C, the sum of
+      the two;
+    - |<a>|^2 then by at most (2 eps + eps^2) <n> + 2 (1 + eps) sqrt(<n>) C +
+      C^2, since |<a>|^2 <= <n>.
+
+    So B = T + eps (3 + eps) <n> + 2 (1 + eps) sqrt(<n>) C + C^2.
+    """
+    if log_p is None:
+        state.tail = 0.0
+        return state
+    d = state.dim
+    eps, T = _tail_moments(log_p, d)
+    mean = state.mean_number()
+    c = np.sqrt(eps * T) + np.sqrt(float(state.data[d - 1, d - 1].real) * T)
+    state.tail = float(T + eps * (3.0 + eps) * mean + 2.0 * (1.0 + eps) * np.sqrt(mean) * c
+                       + c * c)
+    return state
+
+
+def _coherent_log_weights(r: float, n: np.ndarray) -> np.ndarray:
+    """log |<n|alpha>| at |alpha| = r > 0."""
+    return -0.5 * r ** 2 + n * np.log(r) - 0.5 * gammaln(n + 1.0)
+
+
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Truncated coherent-state vector, evaluated in the log domain."""
     alpha = complex(alpha)
@@ -84,8 +154,7 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
         out = np.zeros(cutoff, dtype=complex)
         out[0] = 1.0
         return out
-    logmag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
-    return np.exp(logmag) * np.exp(1j * np.angle(alpha) * n)
+    return np.exp(_coherent_log_weights(abs(alpha), n)) * np.exp(1j * np.angle(alpha) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +169,7 @@ def make_fock(n: int, cutoff: int | None = None) -> DensityMatrix:
         raise TruncationLeakError(f"Fock state |{n}> needs a cutoff above {n}")
     amp = np.zeros(cutoff, dtype=complex)
     amp[n] = 1.0
-    return _pure(amp)
+    return _with_tail(_pure(amp), None)
 
 
 def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
@@ -109,7 +178,8 @@ def make_coherent(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     amp = _coherent_amplitudes(alpha, cutoff)
     norm2 = float(np.sum(np.abs(amp) ** 2))
     _leak_gate(1.0 - norm2, f"coherent alpha={alpha}")
-    return _pure(amp / np.sqrt(norm2))
+    return _with_tail(_pure(amp / np.sqrt(norm2)), None if alpha == 0 else
+                      lambda n: 2.0 * _coherent_log_weights(abs(alpha), n))
 
 
 def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
@@ -117,9 +187,13 @@ def make_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
     _require_finite(alpha=alpha)
     cutoff = _whole("cutoff", cutoff) if cutoff is not None else suggest_cutoff(abs(alpha) ** 2)
     amp = _coherent_amplitudes(alpha, cutoff)
-    return _two_branch(np.outer(amp, amp.conj()), 1.0,
-                       2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)),
-                       f"superposition alpha={alpha}")
+    state = _two_branch(np.outer(amp, amp.conj()), 1.0,
+                        2.0 * (1.0 + np.exp(-2.0 * abs(alpha) ** 2)),
+                        f"superposition alpha={alpha}")
+    # the even levels carry the coherent weights times 2 / (1 + e^{-2 |alpha|^2})
+    shift = np.log(2.0) - np.log1p(np.exp(-2.0 * abs(alpha) ** 2))
+    return _with_tail(state, None if alpha == 0 else lambda n: np.where(
+        n % 2 == 0, 2.0 * _coherent_log_weights(abs(alpha), n) + shift, -np.inf))
 
 
 def make_mixture_scs(alpha: complex, cutoff: int | None = None) -> DensityMatrix:
@@ -150,25 +224,42 @@ def make_decohered_scs(alpha: float, tau: float, cutoff: int | None = None) -> D
 
 
 def make_thermal(nbar: float, cutoff: int | None = None) -> DensityMatrix:
+    """Thermal state with mean occupation nbar, p_n = (1 - q) q^n, q = nbar / (1 + nbar).
+
+    A cutoff c drops q^c of the norm.  With no explicit cutoff, c is the
+    least that drops below 1e-8, the target of :func:`make_squeezed`, at
+    most _MAX_AUTO_CUTOFF: a state that needs more is refused before any
+    matrix is built.
+    """
     nbar = float(nbar)
     _require_finite(nbar=nbar)
     if nbar < 0:
         raise ValueError("mean occupation must be nonnegative")
-    cutoff = _whole("cutoff", cutoff) if cutoff is not None else suggest_cutoff(nbar)
     if nbar == 0.0:
-        return make_fock(0, cutoff)
+        return make_fock(0, suggest_cutoff(0.0) if cutoff is None else cutoff)
     q = nbar / (1.0 + nbar)
+    if cutoff is None:
+        # q^c < 1e-8 for c > ln(1e8) / r, with r = -ln q = log1p(1 / nbar),
+        # which stays positive where q rounds to 1
+        r = np.log1p(1.0 / nbar)
+        cutoff = (int(np.floor(np.log(1e8) / r)) + 1 if r * _MAX_AUTO_CUTOFF > np.log(1e8)
+                  else _MAX_AUTO_CUTOFF)
+    cutoff = _whole("cutoff", cutoff)
     _leak_gate(q ** cutoff, f"thermal nbar={nbar}")
     p = (1.0 - q) * q ** np.arange(cutoff)
     return DensityMatrix(ModeCutoffs((cutoff,)), np.diag(p).astype(complex))
 
 
+def _squeezed_log_weights(s: float, m: np.ndarray) -> np.ndarray:
+    """log |<2m|S(s)|0>| of the squeezed vacuum, s != 0."""
+    return (0.5 * gammaln(2 * m + 1.0) - m * np.log(2.0) - gammaln(m + 1.0)
+            + m * np.log(np.tanh(abs(s))) - 0.5 * np.log(np.cosh(s)))
+
+
 def _squeezed_amplitudes(s: float, cutoff: int) -> tuple[np.ndarray, float]:
     """Even-number amplitudes of the squeezed vacuum and their truncated norm."""
     m = np.arange((cutoff + 1) // 2)
-    logmag = (0.5 * gammaln(2 * m + 1.0) - m * np.log(2.0) - gammaln(m + 1.0)
-              + m * np.log(np.tanh(abs(s))) - 0.5 * np.log(np.cosh(s)))
-    vals = np.exp(logmag) * (-np.sign(s)) ** m
+    vals = np.exp(_squeezed_log_weights(s, m)) * (-np.sign(s)) ** m
     amp = np.zeros(cutoff, dtype=complex)
     amp[2 * m] = vals
     return amp, float(np.sum(vals ** 2))
@@ -187,14 +278,15 @@ def make_squeezed(s: float, cutoff: int | None = None) -> DensityMatrix:
         return make_fock(0, cutoff if cutoff is not None else 4)
     if cutoff is None:
         cutoff = max(suggest_cutoff(np.sinh(s) ** 2), 16)
-        while cutoff < 4096:
+        while cutoff < _MAX_AUTO_CUTOFF:
             _, norm2 = _squeezed_amplitudes(s, cutoff)
             if 1.0 - norm2 < 1e-8:
                 break
             cutoff *= 2
     amp, norm2 = _squeezed_amplitudes(s, _whole("cutoff", cutoff))
     _leak_gate(1.0 - norm2, f"squeezed s={s}")
-    return _pure(amp / np.sqrt(norm2))
+    return _with_tail(_pure(amp / np.sqrt(norm2)), lambda n: np.where(
+        n % 2 == 0, 2.0 * _squeezed_log_weights(s, n // 2), -np.inf))
 
 
 def make_maximally_mixed(dim: int) -> DensityMatrix:

@@ -130,6 +130,11 @@ class DensityMatrix:
     ``purity`` and ``min_eigenvalue`` need only the kets' r x r overlaps.
     Its dense ``data`` is built from the factors on first read and cached,
     and raises ValueError above ``MAX_DENSE_DIM``.
+
+    ``tail`` bounds how far I of the state lies from I of the untruncated
+    state it was cut from: 0.0 on a product state, which spans exactly its
+    declared space, None (unknown) on a dense one unless its constructor sets
+    it, as the catalog's Fock, coherent, even-cat and squeezed states do.
     """
 
     def __init__(self, cutoffs, data):
@@ -159,6 +164,7 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} is not positive")
         rho /= tr
         self._data = rho
+        self.tail = None
         self._min_eigenvalue = None
         self._floor_checks = {}
 
@@ -181,6 +187,7 @@ class DensityMatrix:
         self.cutoffs = cutoffs
         self.kets = self.coeff = None
         self._data = rho
+        self.tail = None
         self._min_eigenvalue = None
         self._floor_checks = {}
         return self
@@ -232,6 +239,7 @@ class DensityMatrix:
         self.cutoffs = ModeCutoffs(dims)
         self.kets, self.coeff = kets, coeff / tr
         self._data = None
+        self.tail = 0.0
         self._min_eigenvalue = None
         self._floor_checks = {}
         return self

@@ -14,6 +14,7 @@ which is what makes cross-checks between them meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 
@@ -435,8 +436,18 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
 # ---------------------------------------------------------------------------
 # Wigner-grid route
 
-def _power_score(xs, ps, W) -> float:
-    """Sum (|xi|^2 - 1) |chi|^2 cell / (2 pi) over the dual chi grid of W.
+# the outer fraction of the dual grid's half width whose |chi|^2 mass, taken
+# twice, is the grid route's error bar
+_BAND = 0.1
+# pointwise error of the sampled W relative to its peak, the bound the
+# sampler is tested to against the gather reference and the pointwise oracle
+_SAMPLE_ERR = 1e-13
+
+
+def _power_score(xs, ps, W) -> tuple[float, float, float]:
+    """Sum (|xi|^2 - 1) |chi|^2 cell / (2 pi) over the dual chi grid of W,
+    with the same sum of (|xi|^2 + 1) |chi|^2 over the grid's outer band and
+    over the whole grid.
 
     chi(xi) = dx dp sum_jk W(x_j, p_k) e^{2i (x_j xi_i - p_k xi_r)} on the
     grid whose axes span +-pi / (2 step) in as many points as the sample
@@ -452,8 +463,16 @@ def _power_score(xs, ps, W) -> float:
     column a reads frequency -a mod (N_x - 1), so both edge columns read
     frequency 0: it counts twice (c_0 = 2) with weight
     w_0 = xi_i[0]^2 + xi_i[-1]^2, and frequency k > 0 once (c_k = 1) with
-    weight w_k = xi_i[-k]^2.  The sum is then two vector-matrix products
+    weight w_k = xi_i[-k]^2.  The score is then two vector-matrix products
     over G, sum_r m_r [(xi_r^2 - 1) sum_k c_k G[k, r] + sum_k w_k G[k, r]].
+
+    The band is every dual point whose row or column lies more than
+    1 - _BAND of its axis' half width from the centre, counted in steps, so
+    that mirror images fall on the same side of it.  A row in it counts
+    whole; any other row counts its band columns only, through c_k and w_k
+    zeroed on the inner columns: two more rows of the same vector-matrix
+    product.  Both extra sums weigh |chi|^2 by |xi|^2 + 1, which bounds
+    |(|xi|^2 - 1)| |chi|^2.
 
     Each step is the axis span over N - 1, not x[1] - x[0]: the FFT puts the
     samples on the exact lattice, and the rounding of a single difference
@@ -478,20 +497,28 @@ def _power_score(xs, ps, W) -> float:
     period[:, 1::2] *= -1.0
     power = np.fft.rfft2(period).view(float)
     power *= power
-    weights = np.empty((2, lx))
+    # rows: c_k and w_k over all columns, then over the band's columns only;
+    # frequency k > 0 is column lx - k, lx - 2k steps from the centre
+    k = np.arange(lx)
+    weights = np.empty((4, lx))
     weights[0] = 1.0
     weights[0, 0] = 2.0
-    weights[1] = xi_i[-np.arange(lx) % lx] ** 2
+    weights[1] = xi_i[-k % lx] ** 2
     weights[1, 0] += xi_i[lx] ** 2
+    weights[2:] = weights[:2] * (np.abs(lx - 2 * k) > (1.0 - _BAND) * lx)
     # each row of sums holds (re^2, im^2) pairs, one per p frequency
     sums = weights @ power
-    const, quad = sums[:, 0::2] + sums[:, 1::2]
+    const, quad, band_const, band_quad = sums[:, 0::2] + sums[:, 1::2]
     half = lp // 2 + 1
     mult = np.full(half, 2.0)
     mult[n_p - half:] = 1.0
-    cell = (xi_r[1] - xi_r[0]) * (xi_i[1] - xi_i[0])
-    total = mult @ ((xi_r[:half] ** 2 - 1.0) * const + quad)
-    return float(total * (dx * dp) ** 2 * cell / (2.0 * np.pi))
+    r2 = xi_r[:half] ** 2
+    outer = np.abs(lp - 2 * np.arange(half)) > (1.0 - _BAND) * lp
+    whole = (r2 + 1.0) * const + quad
+    band = np.where(outer, whole, (r2 + 1.0) * band_const + band_quad)
+    scale = (dx * dp) ** 2 * (xi_r[1] - xi_r[0]) * (xi_i[1] - xi_i[0]) / (2.0 * np.pi)
+    return (float(mult @ ((r2 - 1.0) * const + quad) * scale),
+            float(mult @ band * scale), float(mult @ whole * scale))
 
 
 def measure_wigner_grid(grid: phasespace.WignerGrid) -> MeasureResult:
@@ -503,19 +530,29 @@ def measure_wigner_grid(grid: phasespace.WignerGrid) -> MeasureResult:
     span so the dual grid sits on the FFT's exact lattice; chi itself is
     never formed.  It is spectrally accurate for states the grid actually
     contains, hence the hard checks on normalization and boundary leak
-    (``WignerGrid.faults``).  err_estimate compares against a
-    half-resolution pass over every other sample.
+    (``WignerGrid.faults``).
+
+    err_estimate answers for the grid, not for a truncation of the state
+    behind it.  The samples resolve chi only inside the dual grid's edge;
+    chi past it is missing from the sum and also folded back into it, at
+    the opposite edge.  The mass sum (|xi|^2 + 1) |chi|^2 cell / (2 pi) over
+    the outer _BAND of the dual grid stands for the mass past the edge, so
+    err_estimate is twice that band mass, plus a rounding floor: each term
+    of the score is a square of chi, which carries the samples' error of
+    _SAMPLE_ERR of the peak, so the floor is 2 _SAMPLE_ERR times the same
+    mass over the whole grid.  A wider band reaches back into chi's bulk on
+    states with many levels and reads orders of magnitude above the error
+    of a converged grid; a narrower one reads below the error of grids too
+    coarse to resolve chi.
     """
     dev, clip = grid.faults()
     if dev is not None:
         raise ValueError(f"Wigner grid integral deviates from 1 by {dev:.4f}")
     if clip is not None:
         raise ValueError(f"state is not contained in the grid: edge/peak = {clip:.2e}")
-    xs, ps = grid.x.points, grid.p.points
-    value = _power_score(xs, ps, grid.values)
-    half = _power_score(xs[::2], ps[::2], grid.values[::2, ::2])
+    value, band, whole = _power_score(grid.x.points, grid.p.points, grid.values)
     return MeasureResult(value=value, route="wigner-grid", mean_n=grid.mean_number(),
-                         purity=grid.purity(), err_estimate=abs(value - half))
+                         purity=grid.purity(), err_estimate=2.0 * (band + _SAMPLE_ERR * whole))
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +560,12 @@ def measure_wigner_grid(grid: phasespace.WignerGrid) -> MeasureResult:
 
 def measure(state, route: str | None = None) -> MeasureResult:
     """Evaluate I by the named route, or by the one the state's form implies.
+
+    ``measure()`` answers for the untruncated state: a ``DensityMatrix``
+    whose ``tail`` is set (the catalog's Fock, coherent, even-cat and
+    squeezed states) has that bound on its truncation added to the
+    err_estimate of the operator, char-quadrature and wigner-grid routes.
+    The route functions answer for the matrix they are given and add none.
 
     A ``catalog.Named`` state takes its entry's route by default.  Its
     ``closed-form`` and analytic-chi ``char-quadrature`` ignore the cutoff
@@ -573,7 +616,11 @@ def measure(state, route: str | None = None) -> MeasureResult:
     if route == "low-rank":
         return measure_lowrank(state)
     if route == "operator":
-        return measure_operator(state)
-    if route == "wigner-grid":
-        return measure_wigner_grid(phasespace.wigner_of(state))
-    return measure_char_quadrature(phasespace.char_of(state) if dense else state)
+        result = measure_operator(state)
+    elif route == "wigner-grid":
+        result = measure_wigner_grid(phasespace.wigner_of(state))
+    else:
+        result = measure_char_quadrature(phasespace.char_of(state) if dense else state)
+    if dense and state.tail:
+        result = dataclasses.replace(result, err_estimate=result.err_estimate + state.tail)
+    return result

@@ -15,7 +15,7 @@ over the matrix diagonals at any points, O(D^2) per point, and is the
 reference.  ``wigner_of`` fills a whole grid from the position
 representation, W(q, p) = (1/pi) int <q+y| rho |q-y> e^{-2ipy} dy in
 quadrature units q = sqrt2 x, and sizes its default grid from the state's
-Fock bandwidth.
+extent and Fock bandwidth.
 """
 
 from __future__ import annotations
@@ -249,9 +249,11 @@ class WignerGrid:
         return float(self.values.sum() * self.cell)
 
     def mean_number(self) -> float:
+        """sum W (x^2 + p^2) cell - 1/2, as x^2 against the row sums of W and
+        p^2 against its column sums, so no grid-sized temporary is formed."""
         xs, ps = self.x.points, self.p.points
-        r2 = xs[:, None] ** 2 + ps[None, :] ** 2
-        return float((self.values * r2).sum() * self.cell - 0.5)
+        W = self.values
+        return float(((xs * xs) @ W.sum(axis=1) + W.sum(axis=0) @ (ps * ps)) * self.cell - 0.5)
 
     def purity(self) -> float:
         return float(np.pi * (self.values ** 2).sum() * self.cell)
@@ -259,11 +261,12 @@ class WignerGrid:
     def faults(self) -> tuple[float | None, float | None]:
         """|integral - 1| unless it is within GRID_NORM_TOL (so a NaN integral
         is reported), and the edge/peak ratio of |W| if it exceeds
-        GRID_EDGE_TOL; None for a check that passes."""
-        vals = np.abs(self.values)
+        GRID_EDGE_TOL; None for a check that passes.  The peak and the four
+        edges are read from W itself, without a copy of |W|."""
+        W = self.values
         dev = abs(self.norm() - 1.0)
-        peak = float(vals.max())
-        edge = max(vals[0].max(), vals[-1].max(), vals[:, 0].max(), vals[:, -1].max())
+        peak = max(float(W.max()), -float(W.min()))
+        edge = max(float(np.abs(side).max()) for side in (W[0], W[-1], W[:, 0], W[:, -1]))
         return (None if dev <= GRID_NORM_TOL else dev,
                 edge / peak if edge > GRID_EDGE_TOL * peak else None)
 
@@ -273,7 +276,7 @@ class WignerGrid:
 
 _SUPPORT_MARGIN = 8.0  # quadrature units past the outermost turning point
 _CHI_DECAY = 5.0       # |xi| past sqrt(4 n + 2) at which chi has decayed
-_MIN_POINTS = 201
+_W_DECAY = 3.0         # |alpha| past sqrt(n + 1/2) at which W has decayed
 
 
 def _significant_level(rho: np.ndarray) -> int:
@@ -302,14 +305,33 @@ def default_points(state: DensityMatrix, half_width: float) -> int:
     |xi| = sqrt(4 n + 2), the turning point of its Laguerre factor, and decays
     past it; the step puts the edge _CHI_DECAY beyond that for the state's
     highest significant level.  The count is odd, so the origin is a sample,
-    and at least 201.  It is then raised to the least odd count N whose half
-    period (N - 1) / 2 has no prime factor above 7: the grid route's FFTs run
-    at periods N - 1 and, on every other sample, (N - 1) / 2, and a large
-    prime factor in either slows them two- to three-fold.
+    and at least 17, since a ``WignerGrid`` needs 16.  It is then raised to
+    the least odd count N whose period N - 1, the period of the grid route's
+    FFT, has no prime factor above 7: a large prime factor slows the FFT two-
+    to three-fold.
     """
     edge = np.sqrt(4.0 * _significant_level(state.data) + 2.0) + _CHI_DECAY
-    n = max(_MIN_POINTS, int(np.ceil(4.0 * half_width * edge / np.pi)) + 1)
+    n = max(17, int(np.ceil(4.0 * half_width * edge / np.pi)) + 1)
     return 2 * _smooth_at_least(n // 2) + 1
+
+
+def default_half_width(state: DensityMatrix) -> float:
+    """Half width of the default axes: the nearer of two places W has ended.
+
+    W of a state on Fock levels up to n lies inside the outermost turning
+    point of the Hermite functions, |alpha| = sqrt(n + 1/2); _W_DECAY units
+    past it the vacuum's W is 1.2e-12 of its peak, and higher levels fall off
+    faster.  So the axes end there for the highest significant level, or at
+    +-4.3 sqrt(2 nbar + 1), where the tails of ordinary states (strongly
+    squeezed and thermal ones included) fall below ``GRID_EDGE_TOL``,
+    whichever is nearer.  The second bound counts displacement as spread
+    (+-18.4 on a cat at alpha = 2.95, whose W has ended by +-9), so the
+    turning point sets the width of displaced states; squeezed and thermal
+    states, whose significant levels run far past their spread, keep the
+    second.
+    """
+    return min(4.3 * np.sqrt(2.0 * state.mean_number() + 1.0),
+               np.sqrt(_significant_level(state.data) + 0.5) + _W_DECAY)
 
 
 def _hermite_functions(n: int, u: np.ndarray) -> np.ndarray:
@@ -438,11 +460,11 @@ def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
 
     The samples come from the position representation of the state
     (:func:`_sample_wigner`), not from :func:`wigner_points`, which stays
-    the pointwise reference.  Default axes span +-4.3 sqrt(2 nbar + 1), so
-    the tails of ordinary states (including strongly squeezed ones) fall
-    below ``GRID_EDGE_TOL``, at ``points`` points per axis or, by
-    default, at :func:`default_points`, which sizes the step from the
-    state's Fock bandwidth.  Explicit axes override the defaults.  Emits
+    the pointwise reference.  Default axes span the state's own extent
+    (:func:`default_half_width`), past which its W has fallen below
+    ``GRID_EDGE_TOL``, at ``points`` points per axis or, by default, at
+    :func:`default_points`, which sizes the step from the state's Fock
+    bandwidth.  Explicit axes override the defaults.  Emits
     warnings rather than failing, since a clipped grid is still useful to
     look at; the scoring routine re-checks the same conditions and treats
     them as errors.
@@ -450,7 +472,7 @@ def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
     if state.cutoffs.modes != 1:
         raise ValueError("wigner_of handles single-mode states")
     if x_axis is None or p_axis is None:
-        hw = 4.3 * np.sqrt(2.0 * state.mean_number() + 1.0)
+        hw = default_half_width(state)
         auto = Axis(-hw, hw, default_points(state, hw) if points is None else points)
         x_axis = x_axis or auto
         p_axis = p_axis or auto

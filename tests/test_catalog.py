@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import warnings
+
 from macroq import catalog
-from macroq.fock import TruncationLeakError
+from macroq.fock import DensityMatrix, TruncationLeakError, apply_displacement
 from macroq.measure import measure_char_quadrature, measure_operator
 
 
@@ -95,6 +97,68 @@ def test_make_squeezed_auto_cutoff_mean():
     for s in (0.8, 1.5):
         rho = catalog.make_squeezed(s)
         assert rho.mean_number() == pytest.approx(np.sinh(s) ** 2, rel=1e-7)
+
+
+def test_make_thermal_default_cutoff_holds_the_state(monkeypatch):
+    # the default cutoff is the least c whose dropped norm q^c is below 1e-8,
+    # so it builds without a leak warning
+    for nbar in (0.5, 1.0, 5.0, 10.0, 50.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = catalog.make_thermal(nbar)
+        q = nbar / (1.0 + nbar)
+        assert q ** rho.dim < 1e-8 <= q ** (rho.dim - 1), nbar
+        assert measure_operator(rho).value == pytest.approx(
+            catalog.thermal_measure(nbar).value, abs=1e-6)
+    # one that needs more than 4096 levels is refused before any state is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock state was built")
+
+    for name in ("__init__", "_from_hermitian", "product"):
+        monkeypatch.setattr(DensityMatrix, name, refuse)
+    with pytest.raises(TruncationLeakError, match="thermal nbar=10000.0"):
+        catalog.make_thermal(1e4)
+
+
+# pure catalog states cut at a cutoff d, and the closed form of the state
+# they cut: squeezed vacua at odd and even top levels, cats and coherent states
+TAIL_CASES = (
+    [("squeezed", 1.5, d) for d in (40, 41, 60, 61, None)]
+    + [("scs", 3.0, d) for d in (24, 25, 40)]
+    + [("scs", a, None) for a in (4.0, 6.0, 8.0)]
+    + [("scs", 2.0, d) for d in (12, 13)]
+    + [("coherent", 2.0, d) for d in (10, 11)]
+    + [("coherent", 3.0, 20), ("coherent", 1.0, None)]
+)
+
+
+@pytest.mark.parametrize("name, param, cutoff", TAIL_CASES,
+                         ids=[f"{n}{p}-{d}" for n, p, d in TAIL_CASES])
+def test_truncation_tail_bounds_the_gap_to_the_closed_form(name, param, cutoff):
+    # the operator route on the cut state misses the untruncated I by at
+    # most the tail, and by at least a tenth of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        state = {"squeezed": catalog.make_squeezed, "scs": catalog.make_scs,
+                 "coherent": catalog.make_coherent}[name](param, cutoff)
+    exact = {"squeezed": catalog.gaussian_measure(*catalog.squeezed_char_params(param)).value,
+             "scs": catalog.closed_form_scs(param).value, "coherent": 0.0}[name]
+    gap = abs(measure_operator(state).value - exact)
+    assert gap <= state.tail <= 10.0 * gap
+
+
+def test_tail_is_known_only_where_the_state_was_cut_from_a_known_one():
+    # exact states carry 0, the pure states cut from an untruncated one their
+    # bound, and mixed or derived states None
+    assert catalog.make_fock(3).tail == 0.0
+    assert catalog.make_ghz(4).tail == 0.0
+    assert catalog.make_coherent(0.0).tail == catalog.make_scs(0.0).tail == 0.0
+    for state in (catalog.make_coherent(1.2), catalog.make_scs(1.5), catalog.make_squeezed(0.7)):
+        assert 0.0 < state.tail < 1e-8
+    for state in (catalog.make_thermal(1.0), catalog.make_mixture_scs(1.0),
+                  catalog.make_decohered_scs(1.0, 0.2), catalog.make_thermal_scs(2.0, 1.0),
+                  catalog.make_maximally_mixed(3), apply_displacement(catalog.make_scs(1.0), [0.5])):
+        assert state.tail is None
 
 
 def test_gaussian_measure_values():

@@ -144,6 +144,30 @@ def test_measure_thermal_scs_refuses_a_cutoff_that_misses_the_state(capsys):
     assert "misses 2.629e-02 of the norm" in payload["message"]
 
 
+def test_measure_reports_the_truncation_of_a_cut_squeezed_state(capsys):
+    # 40 levels hold the s = 1.5 squeezed vacuum 0.22 below its closed form
+    # 4.5338; the bar carries the truncation tail, so it covers that gap
+    with pytest.warns(RuntimeWarning, match="cutoff misses 5.012e-03 of the norm"):
+        rc, out, _ = run(capsys, "measure", "--state", "squeezed", "--s", "1.5",
+                         "--cutoff", "40", "--route", "operator")
+    assert rc == 0
+    payload = json.loads(out)
+    exact = catalog.gaussian_measure(*catalog.squeezed_char_params(1.5)).value
+    assert payload["value"] == pytest.approx(4.3137, abs=1e-4)
+    assert payload["err_estimate"] >= 0.22
+    assert abs(payload["value"] - exact) <= payload["err_estimate"]
+
+
+def test_measure_thermal_at_its_default_cutoff(capsys):
+    # the default cutoff holds the thermal state to 1e-8 of its norm, so
+    # nbar = 10 builds without a warning and meets its closed form
+    rc, out, err = run(capsys, "measure", "--state", "thermal", "--nbar", "10",
+                       "--route", "operator")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["value"] == pytest.approx(catalog.thermal_measure(10.0).value,
+                                                     abs=1e-6)
+
+
 def test_measure_missing_param_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["measure", "--state", "scs"])
@@ -339,13 +363,19 @@ def test_emit_and_score_wigner_round_trip(tmp_path, capsys):
 
 
 def test_emit_wigner_default_points_follow_state(tmp_path, capsys):
+    # the default grid spans the state's own extent, about +-9.2 for this cat
+    # where +-4.3 sqrt(2 nbar + 1) would be +-18.7, in the points its Fock
+    # bandwidth needs there
     rho = catalog.make_scs(3.0)
-    hw = 4.3 * np.sqrt(2 * rho.mean_number() + 1)
+    hw = phasespace.default_half_width(rho)
+    assert hw < 9.5
     path = tmp_path / "cat.wig"
     rc, _, _ = run(capsys, "emit-wigner", "--state", "scs", "--alpha", "3",
                    "--output", str(path))
     assert rc == 0
-    assert phasespace.load_wigner(path).x.n == phasespace.default_points(rho, hw) > 201
+    grid = phasespace.load_wigner(path)
+    assert (grid.x.start, grid.x.stop) == (grid.p.start, grid.p.stop) == (-hw, hw)
+    assert grid.x.n == grid.p.n == phasespace.default_points(rho, hw)
     rc, _, _ = run(capsys, "emit-wigner", "--state", "scs", "--alpha", "3",
                    "--half-width", "8", "--output", str(path))
     assert rc == 0

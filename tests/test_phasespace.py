@@ -15,16 +15,18 @@ from hypothesis import strategies as st
 
 import macroq
 from macroq import catalog
-from macroq.measure import (_NODE_RULE_BYTES, _gauss_laguerre, _laguerre_rule, _node_rule,
-                            _node_rule_fits, _power_score, measure_char_quadrature,
-                            measure_operator, measure_wigner_grid)
+from macroq.measure import (_BAND, _NODE_RULE_BYTES, _SAMPLE_ERR, _gauss_laguerre,
+                            _laguerre_rule, _node_rule, _node_rule_fits, _power_score,
+                            measure_char_quadrature, measure_operator, measure_wigner_grid)
 from macroq.phasespace import (
+    GRID_EDGE_TOL,
+    GRID_NORM_TOL,
     _angular_mean_sq,
     _angular_mean_sq_at_nodes,
     _CHI_DECAY,
-    _MIN_POINTS,
     _SUPPORT_MARGIN,
     _TRIM,
+    _W_DECAY,
     Axis,
     _hermite_functions,
     DenseChar,
@@ -33,6 +35,7 @@ from macroq.phasespace import (
     _significant_level,
     char_of,
     char_points,
+    default_half_width,
     default_points,
     fringe_frequency,
     load_wigner,
@@ -269,13 +272,21 @@ def _char_from_arrays(xs, ps, W):
 
 def _char_score(xs, ps, W):
     """The grid route's sum (|xi|^2 - 1) |chi|^2 cell / (2 pi) over the full
-    dual chi grid, and the same sum of its magnitudes, which bounds its
-    rounding."""
+    dual chi grid, the same sum of its magnitudes, which bounds its
+    rounding, and the sums of (|xi|^2 + 1) |chi|^2 cell / (2 pi) over the
+    points whose row or column lies more than 1 - _BAND of its axis' half
+    width from the centre, in steps, and over the whole grid."""
     xi_r, xi_i, chi = _char_from_arrays(xs, ps, W)
     w2 = xi_r[:, None] ** 2 + xi_i[None, :] ** 2
     cell = (xi_r[1] - xi_r[0]) * (xi_i[1] - xi_i[0]) / (2.0 * np.pi)
-    terms = (w2 - 1.0) * np.abs(chi) ** 2 * cell
-    return float(terms.sum()), float(np.abs(terms).sum())
+    power = np.abs(chi) ** 2 * cell
+    terms = (w2 - 1.0) * power
+    lp, lx = ps.size - 1, xs.size - 1
+    band = ((np.abs(2 * np.arange(lp + 1) - lp) > (1.0 - _BAND) * lp)[:, None]
+            | (np.abs(2 * np.arange(lx + 1) - lx) > (1.0 - _BAND) * lx)[None, :])
+    plus = (w2 + 1.0) * power
+    return (float(terms.sum()), float(np.abs(terms).sum()), float(plus[band].sum()),
+            float(plus.sum()))
 
 
 # |W| <= 2 / pi, so the bound is absolute; the sampler reorders the
@@ -320,10 +331,10 @@ def test_sampler_matches_the_gather_reference(name, axes):
 
 
 def test_sampler_matches_the_gather_reference_on_the_bench_cat():
-    # the bench's large cat on its default grid, 401 points
+    # the bench's large cat on the 401-point, +-18.3 grid it once took
     state = catalog.make_scs(2.91, 37)
-    axis = wigner_of(state).x
-    assert axis.n == 401
+    hw = 4.3 * np.sqrt(2.0 * state.mean_number() + 1.0)
+    axis = Axis(-hw, hw, 401)
     assert _sampler_gap(state.data, axis, axis) <= SAMPLER_TOL
 
 
@@ -424,28 +435,46 @@ def test_import_builds_no_node_rule():
 
 def test_default_points_follow_fock_bandwidth():
     # the dual chi grid must reach past the turning point sqrt(4 n + 2) of the
-    # highest Fock level; the count is odd and never below 201
+    # highest Fock level; the count is odd and at least 17
     counts = []
     for n in (0, 30, 60):
         rho = catalog.make_fock(n, n + 2)
         count = default_points(rho, 20.0)
-        assert count % 2 == 1 and count >= 201
+        assert count % 2 == 1 and count >= 17
         step = 40.0 / (count - 1)
         assert np.pi / (2 * step) >= np.sqrt(4 * n + 2)
         counts.append(count)
-    assert counts[0] == 201 and counts[0] < counts[1] < counts[2]
-    # and the default grid of wigner_of is that size
+    assert counts[0] < counts[1] < counts[2]
+    # a narrow window takes the floor of 17 points, one more than a
+    # WignerGrid needs
+    assert default_points(catalog.make_fock(0, 2), 0.5) == 17
+    # and the default grid of wigner_of is that size on the state's own axes
     rho = catalog.make_scs(3.0, 40)
     grid = wigner_of(rho)
-    hw = 4.3 * np.sqrt(2 * rho.mean_number() + 1)
-    assert grid.x.n == grid.p.n == default_points(rho, hw) > 201
+    hw = default_half_width(rho)
+    assert grid.x.n == grid.p.n == default_points(rho, hw)
+    assert (grid.x.start, grid.x.stop) == (grid.p.start, grid.p.stop) == (-hw, hw)
+
+
+def test_default_half_width_ends_where_w_ends():
+    # the axes end _W_DECAY past the outermost turning point sqrt(n + 1/2) of
+    # the highest significant level, or at 4.3 sqrt(2 nbar + 1), whichever is
+    # nearer: the first sets the width of displaced states, the second that
+    # of squeezed and thermal ones
+    cat = catalog.make_scs(2.95, 37)
+    assert default_half_width(cat) == np.sqrt(_significant_level(cat.data) + 0.5) + _W_DECAY
+    assert default_half_width(cat) < 9.1 < 18.4 < 4.3 * np.sqrt(2 * cat.mean_number() + 1)
+    for state in (catalog.make_squeezed(1.5), catalog.make_thermal(1.0, 40)):
+        assert default_half_width(state) == 4.3 * np.sqrt(2 * state.mean_number() + 1)
+    # the bench's large cat fits in at most 211 points per axis
+    assert wigner_of(catalog.make_scs(2.95, 37)).x.n <= 211
 
 
 def _bandwidth_points(state, half_width):
-    """The default count before rounding: odd, at least _MIN_POINTS, with the
-    dual edge _CHI_DECAY past the turning point of the top Fock level."""
+    """The default count before rounding: odd, at least 17, with the dual
+    edge _CHI_DECAY past the turning point of the top Fock level."""
     edge = np.sqrt(4.0 * _significant_level(state.data) + 2.0) + _CHI_DECAY
-    n = max(_MIN_POINTS, int(np.ceil(4.0 * half_width * edge / np.pi)) + 1)
+    n = max(17, int(np.ceil(4.0 * half_width * edge / np.pi)) + 1)
     return n + (n % 2 == 0)
 
 
@@ -457,19 +486,19 @@ def _seven_smooth(n):
 
 
 def test_default_points_have_smooth_half_periods():
-    # the full- and half-resolution FFTs of the grid route run at periods
-    # N - 1 and (N - 1) / 2: the default count is the least odd one at or
-    # above the bandwidth count whose half period has no prime factor above 7
+    # the grid route's FFT runs at period N - 1: the default count is the
+    # least odd one at or above the bandwidth count whose period has no
+    # prime factor above 7, so its half period has none either
     states = [catalog.make_scs(a, 37) for a in np.linspace(2.5, 3.5, 21)]
     states += [catalog.make_fock(n, n + 2) for n in (0, 7, 30, 41, 60)]
     for state in states:
-        hw = 4.3 * np.sqrt(2.0 * state.mean_number() + 1.0)
+        hw = default_half_width(state)
         floor, count = _bandwidth_points(state, hw), default_points(state, hw)
-        assert count % 2 == 1 and _seven_smooth((count - 1) // 2)
+        assert count % 2 == 1 and _seven_smooth(count - 1)
         assert count >= floor
-        assert not any(_seven_smooth((n - 1) // 2) for n in range(floor, count, 2))
-    # counts at the 201 floor do not move
-    assert default_points(catalog.make_fock(0, 2), 20.0) == 201
+        assert not any(_seven_smooth(n - 1) for n in range(floor, count, 2))
+    # counts whose period is smooth do not move
+    assert default_points(catalog.make_fock(0, 2), 0.5) == 17
 
 
 def test_wigner_samples_transform_to_the_dense_char():
@@ -484,14 +513,15 @@ def test_wigner_samples_transform_to_the_dense_char():
     for rho in (catalog.make_coherent(0.9 - 0.6j, 30), catalog.make_scs(1.3, 35)):
         grid = wigner_of(rho, points=161)
         assert gap(rho, grid.x.points, grid.p.points, grid.values) < 1e-12
-    # the bench's large cat on its default grid: 421 points, period 420 =
-    # 2^2 * 3 * 5 * 7; every other dual point, both edges included, quarters
-    # the cost of the char_points reference
+    # the bench's large cat on the 421-point, +-18.6 grid it once took,
+    # period 420 = 2^2 * 3 * 5 * 7; every other dual point, both edges
+    # included, quarters the cost of the char_points reference
     rho = catalog.make_scs(2.95, 37)
-    grid = wigner_of(rho)
-    assert grid.x.n == grid.p.n == 421
+    hw = 4.3 * np.sqrt(2.0 * rho.mean_number() + 1.0)
+    ax = Axis(-hw, hw, 421)
+    grid = wigner_of(rho, x_axis=ax, p_axis=ax)
     assert gap(rho, grid.x.points, grid.p.points, grid.values, every=2) < 1e-12
-    # an even count, and the half-resolution slice the grid route scores
+    # an even count, and an every-other-sample slice of it
     rho = catalog.make_coherent(0.9 - 0.6j, 30)
     grid = wigner_of(rho, points=160)
     xs, ps = grid.x.points, grid.p.points
@@ -534,26 +564,32 @@ def test_char_transform_matches_the_direct_double_sum(nx, n_p, x0, p0, x_span,
        x_span=st.floats(2.0, 16.0), p_span=st.floats(2.0, 16.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_power_score_matches_the_char_score(nx, n_p, x0, p0, x_span, p_span, seed):
-    # the grid route's power-spectrum score against the sum over the full
-    # complex chi grid, on any real samples, counts and spans; the examples
-    # take even counts and periods N - 1 that are prime (17, 89, 83) or
-    # twice a prime (74, 22)
+    # the grid route's power-spectrum score, band mass and whole mass against
+    # the sums over the full complex chi grid, on any real samples, counts
+    # and spans; the examples take even counts and periods N - 1 that are
+    # prime (17, 89, 83) or twice a prime (74, 22)
     W = np.random.default_rng(seed).standard_normal((nx, n_p))
     xs = np.linspace(x0, x0 + x_span, nx)
     ps = np.linspace(p0, p0 + p_span, n_p)
-    ref, scale = _char_score(xs, ps, W)
-    assert abs(_power_score(xs, ps, W) - ref) <= 1e-13 * scale
+    _assert_power_score_matches(xs, ps, W)
+
+
+def _assert_power_score_matches(xs, ps, W):
+    ref, scale, band_ref, whole_ref = _char_score(xs, ps, W)
+    value, band, whole = _power_score(xs, ps, W)
+    assert abs(value - ref) <= 1e-13 * scale
+    assert abs(band - band_ref) <= 1e-13 * whole_ref
+    assert abs(whole - whole_ref) <= 1e-13 * whole_ref
 
 
 @pytest.mark.parametrize("alpha", [2.91, 2.95])
 def test_power_score_matches_the_char_score_on_the_bench_cats(alpha):
-    # the bench's large cats on their default grids, and the every-other-
-    # sample grids of the half-resolution pass
+    # the bench's large cats on their default grids, and on the every-other-
+    # sample grids, whose dual grids end inside chi's reach
     grid = wigner_of(catalog.make_scs(alpha, 37))
     xs, ps, W = grid.x.points, grid.p.points, grid.values
     for sl in (slice(None), slice(None, None, 2)):
-        ref, scale = _char_score(xs[sl], ps[sl], W[sl, sl])
-        assert abs(_power_score(xs[sl], ps[sl], W[sl, sl]) - ref) <= 1e-13 * scale
+        _assert_power_score_matches(xs[sl], ps[sl], W[sl, sl])
 
 
 # the grid route's I on each oracle state's default grid, as the full
@@ -578,12 +614,48 @@ def test_grid_route_keeps_its_value_on_oracle_states(name):
     grid = wigner_of(ORACLE_STATES[name]())
     result = measure_wigner_grid(grid)
     assert abs(result.value - GRID_ROUTE_I[name]) <= 1e-12
-    # and on the same grid, the same value and half-resolution gap as the
-    # complex-chi sum
+    # and on the same grid, the same value as the complex-chi sum, and an
+    # error bar of twice its band mass plus the rounding floor, which covers
+    # the gap to the operator route
     xs, ps, W = grid.x.points, grid.p.points, grid.values
-    full, half = _char_score(xs, ps, W)[0], _char_score(xs[::2], ps[::2], W[::2, ::2])[0]
+    full, _, band, whole = _char_score(xs, ps, W)
     assert abs(result.value - full) <= 1e-12
-    assert abs(result.err_estimate - abs(full - half)) <= 1e-12
+    assert abs(result.err_estimate - 2.0 * (band + _SAMPLE_ERR * whole)) <= 1e-13 * whole
+    gap = abs(result.value - measure_operator(ORACLE_STATES[name]()).value)
+    assert result.err_estimate >= gap
+
+
+def _reference_faults(grid):
+    """``WignerGrid.faults`` as the whole-array reads of |W| it replaced."""
+    vals = np.abs(grid.values)
+    dev = abs(grid.norm() - 1.0)
+    peak = float(vals.max())
+    edge = max(vals[0].max(), vals[-1].max(), vals[:, 0].max(), vals[:, -1].max())
+    return (None if dev <= GRID_NORM_TOL else dev,
+            edge / peak if edge > GRID_EDGE_TOL * peak else None)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_STATES))
+def test_grid_moments_and_faults_match_the_whole_grid_forms(name):
+    # the occupation from row and column sums against the sum over an r^2
+    # grid, and the faults read off W against those read off a copy of |W|
+    grid = wigner_of(ORACLE_STATES[name]())
+    xs, ps, W = grid.x.points, grid.p.points, grid.values
+    r2 = xs[:, None] ** 2 + ps[None, :] ** 2
+    ref = (W * r2).sum() * grid.cell - 0.5
+    assert abs(grid.mean_number() - ref) <= 1e-14 * max(1.0, abs(ref))
+    assert grid.faults() == _reference_faults(grid) == (None, None)
+    # an edge sample of either sign past the gate, on the Fock state whose
+    # peak |W| is its most negative sample
+    fock1 = wigner_of(catalog.make_fock(1, 3), points=41)
+    assert -fock1.values.min() > fock1.values.max()
+    peak = np.abs(fock1.values).max()
+    for where, ratio in (((0, 7), 3e-8), ((40, 40), -5e-8), ((12, -1), 2e-8)):
+        vals = fock1.values.copy()
+        vals[where] = ratio * peak
+        edged = WignerGrid(fock1.x, fock1.p, vals)
+        assert edged.faults() == _reference_faults(edged)
+        assert edged.faults()[1] == pytest.approx(abs(ratio), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
