@@ -268,9 +268,11 @@ def _squeezed_amplitudes(s: float, cutoff: int) -> tuple[np.ndarray, float]:
 def make_squeezed(s: float, cutoff: int | None = None) -> DensityMatrix:
     """Squeezed vacuum with quadrature variances e^{-2s}/4 and e^{2s}/4.
 
-    With no explicit cutoff the dimension grows until the analytic tail drops
-    below 1e-8; the number distribution decays only geometrically, so the
-    generic occupation heuristic underestimates badly here.
+    With no explicit cutoff the dimension doubles until the analytic tail
+    drops below 1e-8, or until it reaches _MAX_AUTO_CUTOFF, where a state
+    that still drops more goes through the leak gate; the number
+    distribution decays only geometrically, so the generic occupation
+    heuristic underestimates badly here.
     """
     s = float(s)
     _require_finite(s=s)
@@ -282,7 +284,7 @@ def make_squeezed(s: float, cutoff: int | None = None) -> DensityMatrix:
             _, norm2 = _squeezed_amplitudes(s, cutoff)
             if 1.0 - norm2 < 1e-8:
                 break
-            cutoff *= 2
+            cutoff = min(2 * cutoff, _MAX_AUTO_CUTOFF)
     amp, norm2 = _squeezed_amplitudes(s, _whole("cutoff", cutoff))
     _leak_gate(1.0 - norm2, f"squeezed s={s}")
     return _with_tail(_pure(amp / np.sqrt(norm2)), lambda n: np.where(

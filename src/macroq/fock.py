@@ -65,6 +65,9 @@ def suggest_cutoff(mean_n: float) -> int:
 
 
 _TILE = 256
+# entries of a product state's dense matrix that _outer_product_sum fills at a
+# time: a strip of rows, and each of its three scratch strips, stays in cache
+_STRIP_ENTRIES = 2 ** 15
 
 # largest dimension whose dense matrix a product state builds on request
 MAX_DENSE_DIM = 4096
@@ -128,8 +131,9 @@ class DensityMatrix:
     ``factors``, rho = V C V^H, are built from its kets on first read, and
     the operator route works on them in O(dim r^2); ``mean_number``,
     ``purity`` and ``min_eigenvalue`` need only the kets' r x r overlaps.
-    Its dense ``data`` is built from the factors on first read and cached,
-    and raises ValueError above ``MAX_DENSE_DIM``.
+    Its dense ``data`` is built from the factors on first read, as an
+    exactly Hermitian sum of real outer products, cached, and refused with
+    ValueError above ``MAX_DENSE_DIM``.
 
     ``tail`` bounds how far I of the state lies from I of the untruncated
     state it was cut from: 0.0 on a product state, which spans exactly its
@@ -276,19 +280,22 @@ class DensityMatrix:
         return V, self.coeff
 
     def to_dense(self) -> DensityMatrix:
-        """The state itself: both forms are Fock-space states.  The benchmark's
+        """The state itself: both forms are Fock-space states, and reading
+        ``data`` builds a product state's dense matrix.  The benchmark's
         ``manymode`` workload (``perfbench/workloads.py``) still calls this."""
         return self
 
     @property
     def data(self) -> np.ndarray:
-        """The dense matrix; for a product state, built on first read."""
+        """The dense matrix.  A product state's is built on first read by
+        :func:`_outer_product_sum`: exactly Hermitian and within a few ulp of
+        V C V^H."""
         if self._data is None:
             if self.dim > MAX_DENSE_DIM:
                 raise ValueError(f"dense dimension {self.dim} exceeds the "
                                  f"{MAX_DENSE_DIM} limit")
             V, C = self.factors
-            self._data = _mirrored_product(V @ C, V)
+            self._data = _outer_product_sum(V, C)
         return self._data
 
     @property
@@ -336,7 +343,8 @@ class DensityMatrix:
         """Whether the smallest eigenvalue is at least ``floor``, decided once per floor.
 
         A dense state asks for one Cholesky factorization of rho - floor I,
-        which succeeds when rho - floor I is positive definite; only when it
+        real when rho has no imaginary part, which succeeds when
+        rho - floor I is positive definite; only when it
         fails is the smallest eigenvalue computed, which then decides.  A
         product state, or one whose smallest eigenvalue is known, compares
         that eigenvalue.
@@ -344,7 +352,9 @@ class DensityMatrix:
         if floor not in self._floor_checks:
             clear = False
             if self.kets is None and self._min_eigenvalue is None:
-                shifted = self.data.copy()
+                # a real matrix takes the real factorization, about 3x faster
+                data = self.data
+                shifted = data.copy() if data.imag.any() else data.real.copy()
                 shifted.flat[::self.dim + 1] -= floor
                 try:
                     np.linalg.cholesky(shifted)
@@ -406,27 +416,64 @@ def _trace_product(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", x, y)))
 
 
-def _mirrored_product(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """w v^H for factors whose product is Hermitian, made exactly Hermitian.
+def _outer_product_sum(V: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """V C V^H for an exactly Hermitian r x r C, exactly Hermitian itself.
 
-    Works over square tiles of _TILE rows: each tile above the diagonal is
-    computed once and its conjugate transpose written to its partner below,
-    so half of the product is never computed.  A diagonal tile is replaced by
-    its Hermitian part, whose entries pair up exactly in floating point.
+    With C = U diag(lam) U^H from ``eigh`` and b = V U diag(sqrt|lam|), the
+    product is sum_k s_k b_k b_k^H, s_k the sign of lam_k.  ``eigh`` is
+    backward stable, so a pair with |lam| at or below r eps max|lam| is
+    round-off and is dropped (``numpy.linalg.matrix_rank``'s rule); the small
+    negative weights that WEIGHT_FLOOR admits above it keep their sign.  With
+    a = Re b and c = Im b, entry (i, j) has the real part
+    sum_k s_k (a_i a_j + c_i c_j) and the imaginary part P_ij - P_ji with
+    P_ij = sum_k s_k c_i a_j.  Each sum runs elementwise over k in the same
+    order at (i, j) as at (j, i); a float product does not depend on the
+    order of its factors, and swapping the operands of a difference only
+    flips its sign, so rho_ji = conj(rho_ij) bit for bit with no transposed
+    pass.  Real factors, which every catalog product
+    state has, skip the imaginary half.
+
+    The output starts as zeros and every strip of _STRIP_ENTRIES entries is
+    written, also where b is zero, so the time and the resident memory of the
+    build depend on dim and r alone, not on which rows the kets reach.  Sums
+    of several terms are formed in three strips of scratch.
     """
-    n = v.shape[0]
-    vh = np.ascontiguousarray(v.conj().T)
-    out = np.empty((n, n), dtype=complex)
-    for i0 in range(0, n, _TILE):
-        rows = slice(i0, i0 + _TILE)
-        tile = w[rows] @ vh[:, rows]
-        out[rows, rows] = 0.5 * (tile + tile.conj().T)
-        for j0 in range(i0 + _TILE, n, _TILE):
-            cols = slice(j0, j0 + _TILE)
-            tile = w[rows] @ vh[:, cols]
-            out[rows, cols] = tile
-            out[cols, rows] = tile.conj().T
+    n, r = V.shape
+    lam, U = np.linalg.eigh(C if C.imag.any() else C.real)
+    keep = np.abs(lam) > r * np.finfo(float).eps * np.abs(lam).max()
+    lam, U = lam[keep], U[:, keep]
+    b = (V @ U) * np.sqrt(np.abs(lam))
+    sign = np.sign(lam)[:, None]
+    a, c = np.ascontiguousarray(b.real.T), np.ascontiguousarray(b.imag.T)
+    sa, sc = sign * a, sign * c
+    mixed = c.any()
+    # the real part is the sum of the outer products of the rows of x and y
+    x, y = (np.vstack([sa, sc]), np.vstack([a, c])) if mixed else (sa, a)
+    out = np.zeros((n, n), dtype=complex)
+    step = max(1, _STRIP_ENTRIES // n)
+    scratch = np.empty((3, min(step, n), n))
+    for i0 in range(0, n, step):
+        rows = slice(i0, i0 + step)
+        re, im = out.real[rows], out.imag[rows]
+        plus, minus, spare = scratch[:, :re.shape[0]]
+        if len(x) == 1:  # a single term goes straight into place
+            np.multiply.outer(x[0, rows], y[0], out=re)
+        else:
+            re[...] = _sum_of_outers(x[:, rows], y, plus, spare)
+        if mixed:
+            np.subtract(_sum_of_outers(sc[:, rows], a, plus, spare),
+                        _sum_of_outers(sa[:, rows], c, minus, spare), out=im)
     return out
+
+
+def _sum_of_outers(x: np.ndarray, y: np.ndarray, acc: np.ndarray,
+                   spare: np.ndarray) -> np.ndarray:
+    """sum_k outer(x[k], y[k]), added in order of k, written into and returned as ``acc``."""
+    np.multiply.outer(x[0], y[0], out=acc)
+    for xk, yk in zip(x[1:], y[1:]):
+        np.multiply.outer(xk, yk, out=spare)
+        acc += spare
+    return acc
 
 
 def annihilation_op(cutoffs, mode: int = 0) -> np.ndarray:

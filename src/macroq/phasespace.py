@@ -256,7 +256,9 @@ class WignerGrid:
         return float(((xs * xs) @ W.sum(axis=1) + W.sum(axis=0) @ (ps * ps)) * self.cell - 0.5)
 
     def purity(self) -> float:
-        return float(np.pi * (self.values ** 2).sum() * self.cell)
+        """pi sum W^2 cell, the square sum taken without a grid-sized temporary."""
+        W = self.values
+        return float(np.pi * np.einsum("ij,ij->", W, W) * self.cell)
 
     def faults(self) -> tuple[float | None, float | None]:
         """|integral - 1| unless it is within GRID_NORM_TOL (so a NaN integral
@@ -310,7 +312,12 @@ def default_points(state: DensityMatrix, half_width: float) -> int:
     FFT, has no prime factor above 7: a large prime factor slows the FFT two-
     to three-fold.
     """
-    edge = np.sqrt(4.0 * _significant_level(state.data) + 2.0) + _CHI_DECAY
+    return _points_at(_significant_level(state.data), half_width)
+
+
+def _points_at(level: int, half_width: float) -> int:
+    """``default_points`` for a state whose highest significant level is ``level``."""
+    edge = np.sqrt(4.0 * level + 2.0) + _CHI_DECAY
     n = max(17, int(np.ceil(4.0 * half_width * edge / np.pi)) + 1)
     return 2 * _smooth_at_least(n // 2) + 1
 
@@ -330,8 +337,13 @@ def default_half_width(state: DensityMatrix) -> float:
     states, whose significant levels run far past their spread, keep the
     second.
     """
+    return _half_width_at(state, _significant_level(state.data))
+
+
+def _half_width_at(state: DensityMatrix, level: int) -> float:
+    """``default_half_width`` for ``state``, whose highest significant level is ``level``."""
     return min(4.3 * np.sqrt(2.0 * state.mean_number() + 1.0),
-               np.sqrt(_significant_level(state.data) + 0.5) + _W_DECAY)
+               np.sqrt(level + 0.5) + _W_DECAY)
 
 
 def _hermite_functions(n: int, u: np.ndarray) -> np.ndarray:
@@ -357,7 +369,8 @@ def _hermite_functions(n: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
+def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis,
+                   level: int | None = None) -> np.ndarray:
     """W on the (x, p) grid from the position representation of rho.
 
     In quadrature units q = sqrt2 x, W(q, p) = (1/pi) int <q+y| rho |q-y>
@@ -395,9 +408,10 @@ def _sample_wigner(rho: np.ndarray, x_axis: Axis, p_axis: Axis) -> np.ndarray:
     default axis is) the table and the GEMM cover only the first
     ceil(N_p / 2) columns, and the rest are their mirror image; a complex
     block or an asymmetric axis computes every column.  Memory is
-    O(N_x N_y + N_y N_p).
+    O(N_x N_y + N_y N_p).  ``level``, the highest significant Fock level of
+    rho, is found from rho when not given.
     """
-    n = _significant_level(rho) + 1
+    n = (_significant_level(rho) if level is None else level) + 1
     block = rho[:n, :n]
     resolution = n * np.finfo(float).eps
     real = np.abs(block.imag).max() <= resolution * np.abs(block).max()
@@ -471,12 +485,14 @@ def wigner_of(state: DensityMatrix, x_axis: Axis | None = None,
     """
     if state.cutoffs.modes != 1:
         raise ValueError("wigner_of handles single-mode states")
+    # one scan of |rho| for the level, which the axes and the sampler share
+    level = _significant_level(state.data)
     if x_axis is None or p_axis is None:
-        hw = default_half_width(state)
-        auto = Axis(-hw, hw, default_points(state, hw) if points is None else points)
+        hw = _half_width_at(state, level)
+        auto = Axis(-hw, hw, _points_at(level, hw) if points is None else points)
         x_axis = x_axis or auto
         p_axis = p_axis or auto
-    grid = WignerGrid(x_axis, p_axis, _sample_wigner(state.data, x_axis, p_axis),
+    grid = WignerGrid(x_axis, p_axis, _sample_wigner(state.data, x_axis, p_axis, level),
                       meta={"convention": "alpha-plane"})
     dev, clip = grid.faults()
     if clip is not None:

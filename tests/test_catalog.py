@@ -99,6 +99,21 @@ def test_make_squeezed_auto_cutoff_mean():
         assert rho.mean_number() == pytest.approx(np.sinh(s) ** 2, rel=1e-7)
 
 
+def test_make_squeezed_default_cutoff_stops_at_its_cap():
+    # the doubling stops at 4096 levels, not at the first power past it:
+    # s = 3.0 drops 1.9e-10 of the norm there, below the 1e-8 target
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert catalog.make_squeezed(3.0).dim == 4096
+    # s = 3.5 drops 1.1e-4 at 4096 levels (6128 levels would hold it) and the
+    # leak gate says so; raised as an error, the warning stops the build
+    # before the 4096 x 4096 matrix is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match=r"s=3\.5: cutoff misses 1\.11\de-04"):
+            catalog.make_squeezed(3.5)
+
+
 def test_make_thermal_default_cutoff_holds_the_state(monkeypatch):
     # the default cutoff is the least c whose dropped norm q^c is below 1e-8,
     # so it builds without a leak warning

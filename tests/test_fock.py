@@ -118,6 +118,27 @@ def test_density_matrix_moments():
     assert rho.min_eigenvalue() == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("field", [float, complex])
+@pytest.mark.parametrize("low, clears", [(-5e-10, True), (-2e-9, False)])
+def test_clears_floor_on_real_and_complex_states(monkeypatch, field, low, clears):
+    # a state with no imaginary part is factored as a real matrix; the
+    # decision at the floor -1e-9 is the same either way
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((6, 6)) + (1j * rng.standard_normal((6, 6)) if field is complex else 0)
+    q, _ = np.linalg.qr(z)
+    spec = rng.uniform(0.5, 1.5, 6)
+    spec *= (1.0 - low) / spec[1:].sum()
+    spec[0] = low
+    state = DensityMatrix(6, (q * spec) @ q.conj().T)
+    assert state.data.imag.any() == (field is complex)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.dtype) or cholesky(a))
+    assert state.clears_floor(-1e-9) == clears
+    assert factored == [np.dtype(field)]
+    assert state.min_eigenvalue() == pytest.approx(low, abs=1e-15)
+
+
 def test_annihilation_op_matrix_elements():
     a = annihilation_op(4)
     expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), k=1)

@@ -189,16 +189,53 @@ def test_factored_operator_route_matches_dense(dims, rank):
     assert low.err_estimate == 0.0 and low.warnings == ()
 
 
-@pytest.mark.parametrize("dims", [(3, 1, 4), (3, 3, 3, 3, 3, 3), (5, 2, 61)])
-def test_factored_data_is_exactly_hermitian(dims):
-    # (3,)*6 and (5, 2, 61) span several tiles, the latter with a ragged edge
-    state = _random_factored(dims, 3, seed=len(dims))
+def _weighted(dims, weights, seed):
+    """Random complex unit kets under C = Q diag(weights) Q^H, Q a random unitary."""
+    rng = np.random.default_rng(seed)
+    r = len(weights)
+    terms = [[u / np.linalg.norm(u) for u in
+              (rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims)] for _ in range(r)]
+    q, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    return DensityMatrix.product(terms, (q * np.asarray(weights)) @ q.conj().T)
+
+
+@pytest.mark.parametrize("make", [
+    # (3,)*6 and (5, 2, 61) span several row strips, each with a ragged last one
+    pytest.param(lambda: _random_factored((3, 1, 4), 3, seed=3), id="dims0"),
+    pytest.param(lambda: _random_factored((3,) * 6, 3, seed=6), id="dims1"),
+    pytest.param(lambda: _random_factored((5, 2, 61), 3, seed=3), id="dims2"),
+    # real rank-1 states: the sum has one term and no imaginary half
+    pytest.param(lambda: catalog.make_ghz(10), id="ghz10"),
+    pytest.param(lambda: catalog.make_dur(10, 0.3), id="dur10"),
+    pytest.param(lambda: catalog.make_noon(5), id="noon5"),
+    # a negative weight that the weight floor admits keeps its sign: dropped,
+    # it would move entries by about 1e-11; one below eigh's resolution goes
+    pytest.param(lambda: _weighted((3, 4), [1.0, 0.4, -1e-10], seed=5), id="admitted-negative"),
+    pytest.param(lambda: _weighted((3, 4), [1.0, 0.4, 1e-20], seed=5), id="below-resolution"),
+])
+def test_factored_data_is_exactly_hermitian(make):
+    state = make()
     rho = state.data
     assert np.array_equal(rho, rho.conj().T)
     V, C = state.factors
     np.testing.assert_allclose(rho, V @ C @ V.conj().T, rtol=0, atol=1e-15)
     assert rho.trace().real == pytest.approx(1.0, abs=1e-14)
     assert state.data is rho  # built once, then cached
+
+
+def test_ghz_data_holds_four_entries():
+    # V of GHZ-12 lives on rows 0 and 4095, so rho holds four entries of 1/2
+    # and the strips without those rows are written as exact zeros
+    state = catalog.make_ghz(12)
+    V, C = state.factors
+    ends = [0, 4095]
+    assert np.array_equal(np.flatnonzero(np.abs(V).sum(axis=1)), ends)
+    rho = state.data
+    rows, cols = np.nonzero(rho)
+    assert rows.tolist() == [0, 0, 4095, 4095] and cols.tolist() == [0, 4095, 0, 4095]
+    corner = rho[np.ix_(ends, ends)]
+    assert np.array_equal(corner, corner.conj().T)
+    np.testing.assert_allclose(corner, V[ends] @ C @ V[ends].conj().T, rtol=0, atol=1e-15)
 
 
 def test_lowrank_pads_unequal_mode_dimensions():

@@ -470,6 +470,21 @@ def test_default_half_width_ends_where_w_ends():
     assert wigner_of(catalog.make_scs(2.95, 37)).x.n <= 211
 
 
+def test_wigner_of_scans_rho_once(monkeypatch):
+    # the axes and the sampler share one scan for the significant level, and
+    # the grid is the one the public defaults and the sampler give on their own
+    state = catalog.make_scs(2.95, 37)
+    hw = default_half_width(state)
+    axis = Axis(-hw, hw, default_points(state, hw))
+    expected = _sample_wigner(state.data, axis, axis)
+    scans = []
+    monkeypatch.setattr(macroq.phasespace, "_significant_level",
+                        lambda rho: scans.append(1) or _significant_level(rho))
+    grid = wigner_of(state)
+    assert len(scans) == 1
+    assert grid.x == grid.p == axis and np.array_equal(grid.values, expected)
+
+
 def _bandwidth_points(state, half_width):
     """The default count before rounding: odd, at least 17, with the dual
     edge _CHI_DECAY past the turning point of the top Fock level."""
