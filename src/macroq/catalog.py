@@ -78,8 +78,21 @@ def _two_branch(branch: np.ndarray, gamma: float, full: float, context: str) -> 
 
 
 def _pure(amp: np.ndarray) -> DensityMatrix:
-    """Single-mode projector |amp><amp| of a normalized amplitude vector."""
-    return DensityMatrix(ModeCutoffs((amp.size,)), np.outer(amp, amp.conj()))
+    """Single-mode projector |amp><amp| of a normalized amplitude vector.
+
+    A real vector's outer product is symmetric bit for bit, one float product
+    per entry, so it is written into the real half of a complex matrix and
+    taken over as it is, with no scan and no second copy; the public
+    constructor would return the same matrix.  A complex vector goes through
+    that constructor: numpy's complex multiply may fuse a multiply with the
+    subtraction, and then outer(amp, conj amp) is not Hermitian bit for bit.
+    """
+    cutoffs = ModeCutoffs((amp.size,))
+    if amp.imag.any():
+        return DensityMatrix(cutoffs, np.outer(amp, amp.conj()))
+    rho = np.zeros((amp.size, amp.size), dtype=complex)
+    np.multiply.outer(amp.real, amp.real, out=rho.real)
+    return DensityMatrix._from_hermitian(cutoffs, rho)
 
 
 _TAIL_BLOCK = 1024  # levels per pass of the sums past a cutoff
@@ -336,7 +349,7 @@ def make_ghz(n_modes: int) -> DensityMatrix:
     n_modes = _whole("n_modes", n_modes)
     e0 = np.array([1.0, 0.0])
     e1 = np.array([0.0, 1.0])
-    return DensityMatrix.superposition([[e0] * n_modes, [e1] * n_modes])
+    return DensityMatrix.superposition([np.tile(e0, (n_modes, 1)), np.tile(e1, (n_modes, 1))])
 
 
 def make_noon(n: int) -> DensityMatrix:
@@ -362,7 +375,7 @@ def make_dur(n_modes: int, epsilon: float) -> DensityMatrix:
     th = 0.5 * float(epsilon)
     u = np.array([np.cos(th), np.sin(th)])
     v = np.array([np.cos(th), -np.sin(th)])
-    return DensityMatrix.superposition([[u] * n_modes, [v] * n_modes])
+    return DensityMatrix.superposition([np.tile(u, (n_modes, 1)), np.tile(v, (n_modes, 1))])
 
 
 def dur_exact(n_modes: int, epsilon: float) -> float:

@@ -114,6 +114,38 @@ def test_make_squeezed_default_cutoff_stops_at_its_cap():
             catalog.make_squeezed(3.5)
 
 
+def _coherent_case(alpha, cutoff):
+    amp = catalog._coherent_amplitudes(alpha, cutoff)
+    amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2))  # as make_coherent normalizes it
+    return (lambda: catalog.make_coherent(alpha, cutoff), amp,
+            lambda n: 2.0 * catalog._coherent_log_weights(abs(alpha), n))
+
+
+def _squeezed_case(s, cutoff):
+    amp, norm2 = catalog._squeezed_amplitudes(s, cutoff)
+    return (lambda: catalog.make_squeezed(s, cutoff), amp / np.sqrt(norm2),
+            lambda n: np.where(n % 2 == 0, 2.0 * catalog._squeezed_log_weights(s, n // 2),
+                               -np.inf))
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda: _coherent_case(0.7, 16), id="coherent-real"),
+    pytest.param(lambda: _coherent_case(-0.9, 16), id="coherent-negative"),
+    pytest.param(lambda: _coherent_case(1.2 + 0.5j, 24), id="coherent-complex"),
+    pytest.param(lambda: _squeezed_case(0.55, 40), id="squeezed"),
+    pytest.param(lambda: _squeezed_case(-0.8, 60), id="squeezed-negative"),
+])
+def test_pure_states_match_the_public_constructor(case):
+    # a real amplitude vector's projector is taken over without the
+    # constructor's scan; it must be the matrix the constructor returns
+    make, amp, log_p = case()
+    state = make()
+    ref = DensityMatrix(state.cutoffs, np.outer(amp, amp.conj()))
+    assert np.array_equal(state.data, ref.data)
+    assert np.array_equal(state.data, state.data.conj().T)
+    assert state.tail == catalog._with_tail(ref, log_p).tail
+
+
 def test_make_thermal_default_cutoff_holds_the_state(monkeypatch):
     # the default cutoff is the least c whose dropped norm q^c is below 1e-8,
     # so it builds without a leak warning

@@ -52,6 +52,26 @@ def test_cutoffs_must_be_positive(bad):
         as_cutoffs(bad)
 
 
+def test_cutoffs_refuse_fractional_values_by_name():
+    # a whole float is a cutoff, as in the catalog constructors' counts
+    assert ModeCutoffs((3.0, np.int64(2), np.float64(4.0))).cutoffs == (3, 2, 4)
+    assert all(type(d) is int for d in ModeCutoffs((3.0, np.int64(2))).cutoffs)
+    assert as_cutoffs(3.0).cutoffs == (3,)
+    with pytest.raises(ValueError, match=r"cutoff of mode 0 is not an integer: 2\.5"):
+        ModeCutoffs((2.5, 3))
+    with pytest.raises(ValueError, match=r"cutoff of mode 1 is not an integer: .*3\.5"):
+        as_cutoffs(np.array([2.0, 3.5]))
+    with pytest.raises(ValueError, match=r"cutoff of mode 0 is not an integer: 2\.5"):
+        as_cutoffs(2.5)
+    for bad in (np.nan, np.inf, "3"):
+        with pytest.raises(ValueError, match="cutoff of mode 1 is not an integer"):
+            ModeCutoffs((2, bad))
+    with pytest.raises(ValueError, match="positive, got 0 for mode 1"):
+        ModeCutoffs((3, 0))
+    with pytest.raises(ValueError, match="at least one mode"):
+        ModeCutoffs(())
+
+
 def test_suggest_cutoff_grows_with_mean_occupation():
     assert suggest_cutoff(0.0) == 10
     assert suggest_cutoff(4.0) > suggest_cutoff(1.0)
