@@ -7,13 +7,21 @@ mode.  Loss only lowers occupations, so the semigroup has the closed form
 
 with eta = e^-tau, A_m(rho) = a_m rho a_m^dag and N the total number
 operator (Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)).  It holds exactly
-on the truncated space, for any real tau.  The terms A^k rho / k! of the
-series do not depend on tau, so one series serves every time of a request.
-A^k rho vanishes in every row and column of total occupation above K - k,
-so each power is computed, and summed, over its leading block only.  An
-input state is checked for positivity by one Cholesky factorization, kept
-on the state, and the recorded states, Hermitian by construction, skip the
-Hermiticity test of the public constructor.
+on the truncated space, for any finite real tau.  The terms A^k rho / k! of
+the series do not depend on tau, so one series serves every time of a
+request.  On the row-major flat matrix each A_m is one contiguous 1-D shift
+by R_m (n + 1), R_m the stride of mode m, with weights that vanish where the
+read wraps into the next row.  The powers are swept in row strips from the
+bottom up: a strip holds all its powers, and below them a halo of the
+R_0 + 1 rows the next power reads, within one budget of bytes
+(``_BLOCK_BYTES``), and one matrix product per strip sums them into every
+time.  Where the halo leaves no room, the powers go in blocks, each its own
+sweep, and in the limit one strip spans the matrix.  A^k rho vanishes in
+every row of total occupation above K - k, so each power is made, and
+summed, over its leading rows only.  An input state is checked for
+positivity by one Cholesky factorization, kept on the state, and the
+recorded states, Hermitian by construction, skip the Hermiticity test of
+the public constructor.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (DensityMatrix, ModeCutoffs, a_rho_adag, as_cutoffs, number_diagonal,
-                   shift_weights)
+from .fock import (DensityMatrix, ModeCutoffs, a_rho_adag, as_cutoffs, flat_shift_weights,
+                   number_diagonal)
 from .measure import measure_operator
 
 # smallest eigenvalue an input state to evolve may have
@@ -31,10 +39,8 @@ POSITIVITY_FLOOR = -1e-9
 # bytes of the damped states evolve and purity_rate_residuals read off one
 # series: 16 MiB holds all 15 stencil legs of a request up to dim 373
 _STACK_BYTES = 2 ** 24
-# bytes of the block of powers of A that _series_sum sums at once
+# bytes of the strips of the powers of A that _series_sum holds at once
 _BLOCK_BYTES = 2 ** 22
-# floats per column strip of the block products in _series_sum
-_STRIP = 2 ** 14
 # spacing h of the five-point stencil in purity_rate_residuals
 STENCIL_STEP = 0.002
 
@@ -46,29 +52,6 @@ def lindblad_rhs(rho: np.ndarray, cutoffs: ModeCutoffs) -> np.ndarray:
     for m in range(cutoffs.modes):
         out += a_rho_adag(rho, cutoffs, m)
     return out
-
-
-def _next_power(term: np.ndarray, k: int, shifts, out: np.ndarray,
-                scratch: np.ndarray, rows: int) -> None:
-    """Write A term / k into out[:rows, :rows], one 2-D shift per mode.
-
-    ``rows`` is at most n - R, R the stride of ``shifts[0]``, and bounds the
-    support of A term; out must be zero outside out[:rows, :rows].  Each
-    shift of stride R' writes its block out[:c, :c], c = min(rows, n - R').
-    ``scratch`` holds the weighted shift of every mode but the first before
-    it is added.
-    """
-    stride, weights = shifts[0]
-    head = out[:rows, :rows]
-    np.multiply(weights[:rows, :rows], term[stride:stride + rows, stride:stride + rows],
-                out=head)
-    n = term.shape[0]
-    for stride, weights in shifts[1:]:
-        c = min(rows, n - stride)
-        part = scratch[:c * c].reshape(c, c)
-        np.multiply(weights[:c, :c], term[stride:stride + c, stride:stride + c], out=part)
-        out[:c, :c] += part
-    head *= 1.0 / k
 
 
 def _support_rows(cutoffs: ModeCutoffs) -> np.ndarray:
@@ -84,41 +67,53 @@ def _support_rows(cutoffs: ModeCutoffs) -> np.ndarray:
     return np.maximum.accumulate(last)
 
 
-def _powers(x: np.ndarray, cutoffs: ModeCutoffs, ring: np.ndarray):
-    """Write A^k x / k! into ring[k % len(ring)] for k = 0, ..., K, yielding (k, rows).
+def _plan(n: int, halo: int, size: int, row_bytes: int, times: int) -> tuple[int, int, int]:
+    """(powers per block, rows per strip, rows per product) of ``_series_sum``.
 
-    A = sum_m A_m lowers the total occupation by one, so A^k vanishes past
-    K = sum_m (d_m - 1), and A^k x outside its leading ``rows`` rows and
-    columns (``_support_rows``).  ``ring`` is a zeroed stack of at least two
-    matrices of the shape and dtype of x.  Each power is one ``_next_power``
-    of the one before, over that leading block only: the weights of the
-    shifts are built once for the series, and nothing is allocated per
-    power.  A slot is kept zero outside the block of the power it holds, so
-    a reused slot is cleared only between its old and its new block.
+    A strip holds its rows and a halo of ``halo`` rows below them for every
+    power of a block, within ``_BLOCK_BYTES``.  All ``size`` powers go in
+    one block when the strip they leave is at least a halo tall; otherwise
+    the powers split into blocks that leave one that tall.  Where the strip
+    and its halo would span the matrix, or no strip fits, the strip is the
+    whole matrix, and a block holds as many whole powers as the budget
+    does, two at least, so that the last power of a block is kept until the
+    next block has read it.  A block after the first is added into out a
+    group of rows at a time, through a slot's share of the budget for all
+    ``times``.
     """
-    ring[0] = x
-    n = x.shape[0]
-    yield 0, n
-    # smallest stride first: its block [:n-R, :n-R] holds those of the others
-    shifts = [shift_weights(cutoffs, m) for m in reversed(range(cutoffs.modes))
-              if cutoffs.cutoffs[m] > 1]
-    if not shifts:
-        return
-    support = _support_rows(cutoffs)
-    top = len(support) - 1
-    edge = n - shifts[0][0]
-    held = [n] + [0] * (len(ring) - 1)
-    scratch = np.empty((n - shifts[1][0]) ** 2 if len(shifts) > 1 else 0, dtype=x.dtype)
-    for k in range(1, top + 1):
-        slot = k % len(ring)
-        out, old = ring[slot], held[slot]
-        rows = min(int(support[top - k]), edge)
-        if old > rows:
-            out[rows:old, :old] = 0.0
-            out[:rows, rows:old] = 0.0
-        held[slot] = rows
-        _next_power(ring[(k - 1) % len(ring)], k, shifts, out, scratch, rows)
-        yield k, rows
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    per = size
+    if rows // per < 2 * halo:
+        per = max(1, rows // (2 * halo))
+    strip = rows // per - halo
+    if strip < 1 or strip + halo >= n:
+        per, strip = min(size, max(2, rows // n)), n
+    return per, strip, max(1, min(strip, rows // per) // times)
+
+
+def _shift_sum(prev: np.ndarray, at: int, shifts, start: int, k: int,
+               dst: np.ndarray, scratch: np.ndarray) -> None:
+    """Write A prev / k into dst, the flat entries start, start + 1, ... of the power.
+
+    ``prev`` holds the power before from flat entry start - at on, and each
+    mode is one contiguous 1-D shift of it (``fock.flat_shift_weights``),
+    cut where the shift would read past the matrix; dst is zero past the
+    longest cut.  The shifts of the modes after the first go through
+    ``scratch`` a piece at a time before they are added.
+    """
+    for i, (offset, weights) in enumerate(shifts):
+        e = min(dst.size, weights.size - start)
+        src = prev[at + offset:]
+        if not i:
+            np.multiply(weights[start:start + e], src[:e], out=dst[:e])
+            dst[e:] = 0.0
+            continue
+        for c0 in range(0, e, scratch.size):
+            c1 = min(e, c0 + scratch.size)
+            part = scratch[:c1 - c0]
+            np.multiply(weights[start + c0:start + c1], src[c0:c1], out=part)
+            dst[c0:c1] += part
+    dst *= 1.0 / k
 
 
 def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
@@ -126,36 +121,105 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
     """Write the channel applied to x for each tau of the 1-D ``taus`` into out.
 
     x is a C-contiguous real or complex matrix and out a C-contiguous stack
-    of len(taus) matrices of its dtype.  ``_powers`` writes the powers of A
-    straight into a block of at most ``_BLOCK_BYTES``, and each full block is
-    summed into out as real matrix products over column strips, so no
-    temporary outgrows a strip.  The powers of a block vanish past the
-    leading rows of its first power, so a product reads only those.
+    of len(taus) matrices of its dtype.  The powers A^k x / k! are made in
+    row strips from the bottom up, each power of a strip one 1-D shift per
+    mode of the strip's power before.  Row i of a power reads rows up to
+    i + R_0 + 1 of the one before, R_0 the largest stride, so a strip keeps
+    that halo of rows below it for every power; on to the next strip up,
+    the top of a strip becomes the halo.  All the powers of a strip are
+    then summed into out by one matrix product, and scaled by eta^(N/2) on
+    both sides while the strip of out is still in cache.
+
+    When the strips and halos of all the powers do not fit ``_BLOCK_BYTES``
+    (``_plan``), the powers go in blocks, each swept over all the strips and
+    added into out, and a full matrix carries the last power of a block to
+    the first of the next.  It is written a halo behind the sweep, over rows
+    no later strip reads; where the strip is the whole matrix, it is the
+    block's last power itself.  A power vanishes past its leading
+    ``_support_rows`` rows, so it is made and summed over those only, and a
+    strip of a power beyond them stays zero.
     """
+    n = x.shape[0]
     size = sum(cutoffs.cutoffs) - cutoffs.modes + 1
     coef = (-np.expm1(-taus))[:, None] ** np.arange(size)  # (1 - eta)^k
-    per = max(1, min(size, _BLOCK_BYTES // x.nbytes))
-    # one more slot when a block holds a single power, since each power is
-    # computed from the one before
-    ring = np.zeros((max(per, 2),) + x.shape, dtype=x.dtype)
-    flat_ring = ring.reshape(len(ring), -1).view(np.float64)
+    # smallest stride first: its cut is the longest
+    shifts = [flat_shift_weights(cutoffs, m) for m in reversed(range(cutoffs.modes))
+              if cutoffs.cutoffs[m] > 1]
+    halo = shifts[-1][0] // n + 1 if shifts else 0
+    support = _support_rows(cutoffs)[::-1]  # rows of power k
+    per, strip, group = _plan(n, halo, size, x.strides[0], taus.size)
+    whole = strip == n
+    height = min(n, strip + halo)
+    buf = np.zeros((per, height * n), dtype=x.dtype)
+    flat_buf = buf.view(np.float64)
     flat_out = out.reshape(taus.size, -1).view(np.float64)
-    flat_out[:] = 0.0
-    row = flat_out.shape[1] // x.shape[0]  # floats per matrix row
-    for k, rows in _powers(x, cutoffs, ring):
-        j = k % per
-        if j == 0:
-            width = rows * row
-        if j == per - 1 or k == size - 1:
-            w = coef[:, k - j:k + 1]
-            slot = k % len(ring)
-            for c0 in range(0, width, _STRIP):
-                cols = slice(c0, min(c0 + _STRIP, width))
-                flat_out[:, cols] += w @ flat_ring[slot - j:slot + 1, cols]
+    row = flat_out.shape[1] // n  # floats per matrix row
+    flat_x = x.reshape(-1)
+    # carries the last power of a block to the next one; where the strip is
+    # the whole matrix, that power's own slot does
+    carry = buf[-1] if whole or per == size else np.empty_like(flat_x)
+    # a slot's share of the budget, or one group of rows for every time
+    share = max(1, _BLOCK_BYTES // (per * x.strides[0]))
+    scratch = np.empty(n * max(min(strip, share), taus.size * group), dtype=x.dtype)
+    part = scratch.view(np.float64)[:taus.size * group * row].reshape(taus.size, -1)
     s = np.exp(-0.5 * taus[:, None] * number_diagonal(cutoffs))
-    out *= s[:, :, None]
-    out *= s[:, None, :]
+    for k0 in range(0, size, per):
+        k1 = min(size, k0 + per)
+        if k0 and not whole:
+            buf[:] = 0.0
+        for r1 in range(n, 0, -strip):
+            r0 = max(0, r1 - strip)
+            h = r1 - r0
+            # the powers the strip below reached hand their top rows on as the halo
+            held = int(np.count_nonzero(support[k0:k1] > r1))
+            if held:
+                buf[:held, h * n:(h + halo) * n] = buf[:held, :halo * n]
+            made = 0
+            for k in range(k0, k1):
+                top = min(r1, int(support[k]))
+                if top <= r0:
+                    break
+                dst = buf[made, :(top - r0) * n]
+                if k == 0:
+                    dst[:] = flat_x[r0 * n:top * n]
+                elif made:
+                    _shift_sum(buf[made - 1], 0, shifts, r0 * n, k, dst, scratch)
+                else:
+                    _shift_sum(carry, r0 * n, shifts, r0 * n, k, dst, scratch)
+                if whole and k >= per:
+                    # the slot held a power of the block before, of more rows
+                    buf[made, top * n:int(support[k - per]) * n] = 0.0
+                made += 1
+            w = coef[:, k0:k0 + made]
+            if k0 == 0:
+                np.matmul(w, flat_buf[:made, :h * row], out=flat_out[:, r0 * row:r1 * row])
+            else:
+                # a group of rows at a time through scratch; the powers of a
+                # block vanish past the rows of its first one
+                for g0 in range(r0, min(r1, int(support[k0])), group):
+                    g1 = min(r1, g0 + group)
+                    term = part[:, :(g1 - g0) * row]
+                    np.matmul(w, flat_buf[:made, (g0 - r0) * row:(g1 - r0) * row], out=term)
+                    flat_out[:, g0 * row:g1 * row] += term
+            if not whole and k1 < size:
+                # rows from r0 + halo on are read by no strip above
+                lo = 0 if r0 == 0 else halo
+                hi = min(h + halo, n - r0)
+                carry[(r0 + lo) * n:(r0 + hi) * n] = buf[-1, lo * n:hi * n]
+            if k1 == size:
+                band = out[:, r0:r1]
+                band *= s[:, r0:r1, None]
+                band *= s[:, None, :]
     return out
+
+
+def _finite(taus: np.ndarray) -> np.ndarray:
+    """The times, once every one is finite; the series of an infinite or NaN
+    time is NaN throughout."""
+    bad = taus[~np.isfinite(taus)]
+    if bad.size:
+        raise ValueError(f"time {float(bad[0])!r} is not finite")
+    return taus
 
 
 def damp(rho: np.ndarray, cutoffs: ModeCutoffs, tau) -> np.ndarray:
@@ -164,13 +228,14 @@ def damp(rho: np.ndarray, cutoffs: ModeCutoffs, tau) -> np.ndarray:
     A = sum_m A_m is nilpotent on the truncated space, so exp[(1 - eta) A] is
     the finite sum over k <= K = sum_m (d_m - 1) of (1 - eta)^k A^k / k!.  The
     terms A^k rho / k! do not depend on tau: one series of K powers, each a
-    2-D shift of the one before per mode, serves every tau, and each tau
-    only weighs and adds them.  Any real tau is allowed; a negative one
-    gives the exact inverse map.  A scalar tau returns the dim x dim matrix,
-    an array of taus the stack of shape ``tau.shape + (dim, dim)``.
+    1-D shift of the flat matrix before it per mode, serves every tau, and
+    each tau only weighs and adds them.  Any finite real tau is allowed; a
+    negative one gives the exact inverse map; an infinite or NaN one raises
+    ValueError.  A scalar tau returns the dim x dim matrix, an array of taus
+    the stack of shape ``tau.shape + (dim, dim)``.
     """
     cut = as_cutoffs(cutoffs)
-    taus = np.asarray(tau, dtype=float)
+    taus = _finite(np.asarray(tau, dtype=float))
     x = np.array(rho, dtype=complex)
     out = np.empty((taus.size,) + x.shape, dtype=complex)
     _series_sum(x, cut, taus.ravel(), out)
@@ -222,7 +287,7 @@ class TrajectoryPoint:
 
 def _checked_times(state: DensityMatrix, record_times) -> np.ndarray:
     """The record times as an array, once they and the input state pass the checks."""
-    times = np.array([float(t) for t in record_times])
+    times = _finite(np.array([float(t) for t in record_times]))
     if not times.size:
         raise ValueError("need at least one record time")
     if times[0] < 0 or np.any(np.diff(times) < 0):

@@ -40,6 +40,13 @@ class ModeCutoffs:
             raise ValueError(_cutoff_fault(given))
         object.__setattr__(self, "cutoffs", dims)
 
+    @classmethod
+    def _trusted(cls, dims: tuple[int, ...]) -> ModeCutoffs:
+        """The cutoffs of a tuple of ints already known to be at least 1, unchecked."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "cutoffs", dims)
+        return self
+
     @property
     def modes(self) -> int:
         return len(self.cutoffs)
@@ -252,21 +259,26 @@ class DensityMatrix:
         kets, dims = _stack_kets(terms)
         if not np.isfinite(kets).all():
             raise ValueError("product kets have entries that are not finite")
-        norms = np.linalg.norm(kets, axis=2)
+        # the norms, the normalization and the Gram matrix read the kets mode
+        # last, where each is one pass along the long axis
+        u = _mode_last(kets)
+        norms = np.sqrt(np.einsum("kim,kim->im", u.conj(), u).real)
         if np.any(norms == 0.0):
             raise ValueError("zero factor vector")
-        kets /= norms[:, :, None]
+        u /= norms
+        kets = np.ascontiguousarray(u.transpose(2, 1, 0), dtype=complex)
         # each term's norm product, as a log sum shifted so the largest is 1:
         # over thousands of modes the product itself leaves the float range
-        logs = np.log(norms).sum(axis=0)
+        logs = np.log(norms).sum(axis=1)
         scales = np.exp(logs - logs.max())
         coeff = coeff * np.outer(scales, scales)
-        tr = _trace_product(coeff, _ket_gram(kets))
+        tr = _trace_product(coeff, np.prod(_mode_overlaps(u, u), axis=-1))
         if not tr > 0.0:
             raise ValueError(f"state trace {tr!r} is not positive")
 
         self = cls.__new__(cls)
-        self.cutoffs = ModeCutoffs(dims)
+        # _stack_kets returns whole dimensions, one at least once the norms pass
+        self.cutoffs = ModeCutoffs._trusted(dims)
         self.kets, self.coeff = kets, coeff / tr
         self._data = None
         self.tail = 0.0
@@ -575,31 +587,32 @@ def number_op(cutoffs) -> np.ndarray:
     return np.diag(number_diagonal(cutoffs)).astype(complex)
 
 
-def shift_weights(cutoffs, mode: int) -> tuple[int, np.ndarray]:
-    """The stride R and the weights W that write a_m rho a_m^dag as one 2-D shift.
+def flat_shift_weights(cutoffs, mode: int) -> tuple[int, np.ndarray]:
+    """The offset D and the weights W that write a_m rho a_m^dag as one 1-D shift.
 
-    With R and w of ``_ladder``, (a_m rho a_m^dag)[:n-R, :n-R] = W * rho[R:, R:]
-    and the rest is zero; W is the outer product of w[:n-R] with itself and
-    holds (n - R)^2 floats.
+    On the row-major flat view f of rho, entry p = i n + j of a_m rho a_m^dag
+    is W[p] f[p + D] with D = R (n + 1), n = dim, for p < n^2 - D, and zero
+    past it.  W[p] = w_i w_j with R and w of ``_ladder``; a read that wraps
+    into the next row has j >= n - R, where w_j = 0.
     """
     cutoffs = as_cutoffs(cutoffs)
+    n = cutoffs.dim
     stride, _, w = _ladder(cutoffs, mode)
-    w = w[:cutoffs.dim - stride]
-    return stride, np.multiply.outer(w, w)
+    offset = stride * (n + 1)
+    return offset, np.multiply.outer(w[:n - stride], w).ravel()[:n * n - offset]
 
 
 def a_rho_adag(rho: np.ndarray, cutoffs, mode: int) -> np.ndarray:
-    """Compute a_m rho a_m^dag by the 2-D shift of ``shift_weights``.
+    """Compute a_m rho a_m^dag by the 1-D shift of ``flat_shift_weights``.
 
     Entry (i, j) of mode m takes sqrt((i+1)(j+1)) rho[.., i+1, ..; .., j+1, ..]
     and the top level is left empty.  The weights are built for each call;
     a caller that applies the same shift many times builds them once.
     """
-    rho = np.asarray(rho)
-    stride, weights = shift_weights(cutoffs, mode)
+    rho = np.ascontiguousarray(rho)
+    offset, weights = flat_shift_weights(cutoffs, mode)
     out = np.zeros(rho.shape, dtype=rho.dtype)
-    n = rho.shape[0] - stride
-    np.multiply(weights, rho[stride:, stride:], out=out[:n, :n])
+    np.multiply(weights, rho.reshape(-1)[offset:], out=out.reshape(-1)[:weights.size])
     return out
 
 

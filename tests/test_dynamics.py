@@ -1,17 +1,20 @@
 """Amplitude-damping evolution and the purity-rate identity."""
 
+import math
 import re
 import runpy
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from macroq import catalog, dynamics
 from macroq.dynamics import damp, evolve, lindblad_rhs, purity_rate_residuals
 from macroq.fock import (DensityMatrix, ModeCutoffs, annihilation_op, as_cutoffs,
-                         number_diagonal, shift_weights)
+                         flat_shift_weights, number_diagonal)
 from macroq.measure import measure_operator
 
 
@@ -132,7 +135,7 @@ def _explicit_channel(cut, tau):
 @pytest.mark.parametrize("per", [1, 2, 6])
 def test_shift_series_with_a_one_level_middle_mode(monkeypatch, per):
     # cutoffs (3, 1, 4): odd dims, modes 0 and 1 share the stride 4, K = 5;
-    # per powers to a block: per = 1 and 2 reuse the slot that held the input
+    # a budget of per matrices: whole-matrix blocks of 2 powers (three blocks) or of 6 (one)
     cut = ModeCutoffs((3, 1, 4))
     d = cut.dim
     rho = _random_state(cut, 11).data
@@ -149,35 +152,101 @@ def test_shift_series_with_a_one_level_middle_mode(monkeypatch, per):
         assert np.abs(got - damp(rho, cut, tau)).max() < 1e-15
 
 
-def _untrimmed_series_sum(x, cut, taus, per):
-    """The series of ``dynamics._series_sum`` over whole matrices, ``per`` powers
-    to a block: every shift writes its full block out[:n-R, :n-R] and every
-    block product reads all the columns, strip by strip."""
+def _plan_of(cut, x, times=4):
+    """(powers, powers per block, rows per strip, rows per product) of the series of x."""
     size = sum(cut.cutoffs) - cut.modes + 1
-    coef = (-np.expm1(-taus))[:, None] ** np.arange(size)
+    strides = [cut.dim // math.prod(cut.cutoffs[:m + 1])
+               for m in range(cut.modes) if cut.cutoffs[m] > 1]
+    return (size,) + dynamics._plan(cut.dim, max(strides) + 1, size, x.strides[0], times)
+
+
+def _sparse_generator(cut):
+    """The superoperator of lindblad_rhs on the row-major vec(rho), sparse."""
+    eye = sparse.identity(cut.dim, format="csr")
+    gen = sparse.csr_matrix((cut.dim ** 2, cut.dim ** 2))
+    for m in range(cut.modes):
+        a = sparse.csr_matrix(annihilation_op(cut, m).real)
+        n = a.T @ a
+        gen = gen + sparse.kron(a, a) - 0.5 * (sparse.kron(n, eye) + sparse.kron(eye, n))
+    return gen.tocsr()
+
+
+def _regime(cut, x):
+    size, per, strip, _ = _plan_of(cut, x)
+    if strip == cut.dim:
+        return "whole"
+    return "strips" if per == size else "blocks of strips"
+
+
+# cutoffs, _BLOCK_BYTES (None: the default) and the regime it gives packed
+# and complex input
+REGIMES = [
+    ((17, 17), None, "strips", "blocks of strips"),
+    ((6, 6, 6), None, "strips", "strips"),
+    ((2,) * 8, None, "whole", "whole"),  # the halo of a qubit's stride n/2 never fits
+    ((2, 2, 3), None, "whole", "whole"),
+    ((3, 1, 5), None, "whole", "whole"),
+    ((6, 6, 6), 2 ** 18, "blocks of strips", "blocks of strips"),
+    ((17, 17), 2 ** 18, "blocks of strips", "blocks of strips"),
+]
+
+
+@pytest.mark.parametrize("cutoffs,budget,packed,full", REGIMES)
+def test_series_regimes_match_the_generator_exponential(monkeypatch, cutoffs, budget, packed,
+                                                        full):
+    # strips with a halo, the whole-matrix limit and several blocks of strips,
+    # against expm of the generator, complex and packed, for either sign of tau
+    cut = ModeCutoffs(cutoffs)
+    d = cut.dim
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", budget)
+    rho = _random_state(cut, 19).data
+    taus = np.array([-0.02, 0.0, 0.25, 1.0])
+    gen = _sparse_generator(cut)
+    want = np.array([expm_multiply(t * gen, rho.ravel()).reshape(d, d) for t in taus])
+    packing = (rho.real + rho.imag, want.real + want.imag, packed)
+    for x, ref, regime in ((rho, want, full), packing):
+        assert _regime(cut, x) == regime
+        out = np.empty((taus.size, d, d), dtype=x.dtype)
+        dynamics._series_sum(x, cut, taus, out)
+        assert np.abs(out - ref).max() < 1e-13
+
+
+def _untrimmed_series_sum(x, cut, taus):
+    """The series of ``dynamics._series_sum`` over whole matrices, in its
+    association: the powers per block, rows per strip and rows per product
+    of ``dynamics._plan``, and each product over the powers of the block not
+    zero on its strip.  Each power is made over all its rows, and a block
+    after the first is added over all the rows of every strip."""
+    size, per, strip, group = _plan_of(cut, x, taus.size)
     n = x.shape[0]
-    shifts = [shift_weights(cut, m) for m in reversed(range(cut.modes)) if cut.cutoffs[m] > 1]
-    ring = np.zeros((max(per, 2),) + x.shape, dtype=x.dtype)
-    ring[0] = x
-    out = np.zeros((taus.size,) + x.shape, dtype=x.dtype)
-    flat_ring = ring.reshape(len(ring), -1).view(np.float64)
+    coef = (-np.expm1(-taus))[:, None] ** np.arange(size)
+    shifts = [flat_shift_weights(cut, m) for m in reversed(range(cut.modes)) if cut.cutoffs[m] > 1]
+    powers = np.zeros((size, n * n), dtype=x.dtype)
+    powers[0] = x.ravel()
+    for k in range(1, size):
+        for i, (offset, weights) in enumerate(shifts):
+            part = weights * powers[k - 1, offset:]
+            if i:
+                powers[k, :part.size] += part
+            else:
+                powers[k, :part.size] = part
+        powers[k] *= 1.0 / k
+    out = np.empty((taus.size, n, n), dtype=x.dtype)
     flat_out = out.reshape(taus.size, -1).view(np.float64)
-    for k in range(size):
-        slot = k % len(ring)
-        if k:
-            term, power = ring[(k - 1) % len(ring)], ring[slot]
-            power[:] = 0.0
-            stride, weights = shifts[0]
-            head = power[:n - stride, :n - stride]
-            np.multiply(weights, term[stride:, stride:], out=head)
-            for stride, weights in shifts[1:]:
-                power[:n - stride, :n - stride] += weights * term[stride:, stride:]
-            head *= 1.0 / k
-        j = k % per
-        if j == per - 1 or k == size - 1:
-            for c0 in range(0, flat_out.shape[1], dynamics._STRIP):
-                cols = slice(c0, c0 + dynamics._STRIP)
-                flat_out[:, cols] += coef[:, k - j:k + 1] @ flat_ring[slot - j:slot + 1, cols]
+    flat_powers = powers.view(np.float64)
+    row = flat_out.shape[1] // n
+    for k0 in range(0, size, per):
+        for r1 in range(n, 0, -strip):
+            r0 = max(0, r1 - strip)
+            # the powers of the block that are not zero on the strip
+            made = np.count_nonzero(flat_powers[k0:k0 + per, r0 * row:r1 * row].any(axis=1))
+            w = coef[:, k0:k0 + made]
+            if not k0:
+                flat_out[:, r0 * row:r1 * row] = w @ flat_powers[:made, r0 * row:r1 * row]
+            for g0 in range(r0, r1 if k0 else r0, group):
+                cols = slice(g0 * row, min(r1, g0 + group) * row)
+                flat_out[:, cols] += w @ flat_powers[k0:k0 + made, cols]
     s = np.exp(-0.5 * taus[:, None] * number_diagonal(cut))
     out *= s[:, :, None]
     out *= s[:, None, :]
@@ -185,19 +254,21 @@ def _untrimmed_series_sum(x, cut, taus, per):
 
 
 @pytest.mark.parametrize("per", [1, 2, None])
-@pytest.mark.parametrize("cutoffs", [(40,), (14, 14), (17, 17), (3, 1, 5), (2, 7, 3)])
+@pytest.mark.parametrize("cutoffs", [(40,), (14, 14), (17, 17), (3, 1, 5), (2, 7, 3), (2,) * 8])
 def test_trimmed_series_matches_the_untrimmed_one(monkeypatch, cutoffs, per):
-    # each power is shifted and summed over its support only; the result is
-    # the untrimmed series bit for bit, complex and packed, for either sign of tau
+    # each power is made and summed over its leading rows only; the result is
+    # the untrimmed series in the same strips and blocks bit for bit, complex
+    # and packed, for either sign of tau.  A budget of per matrices gives
+    # several blocks, of strips or of whole matrices; the default, one block
+    # of strips where the halo fits
     cut = ModeCutoffs(cutoffs)
     d = cut.dim
-    size = sum(cutoffs) - len(cutoffs) + 1
     rho = _random_state(cut, 13).data
     taus = np.array([-0.02, 0.0, 0.25, 1.0])
-    block = size if per is None else per
     for x in (rho.real + rho.imag, rho):
-        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", block * x.nbytes)
-        want = _untrimmed_series_sum(x, cut, taus, block)
+        if per is not None:
+            monkeypatch.setattr(dynamics, "_BLOCK_BYTES", per * x.nbytes)
+        want = _untrimmed_series_sum(x, cut, taus)
         out = np.empty((taus.size, d, d), dtype=x.dtype)
         assert np.array_equal(dynamics._series_sum(x, cut, taus, out), want)
     assert np.array_equal(damp(rho, cut, taus), want)
@@ -214,24 +285,32 @@ def test_evolve_states_match_damp_on_a_complex_state():
 
 
 def test_damp_reads_every_time_off_one_series(monkeypatch):
-    # a two-mode 17 x 17 state: K = 32 powers of A, each one call of the kernel
-    calls = []
-    real = dynamics._next_power
-    monkeypatch.setattr(dynamics, "_next_power",
-                        lambda term, k, *args: calls.append(k) or real(term, k, *args))
+    # a two-mode 17 x 17 state: K = 32 powers of A; each call runs one series,
+    # which makes every strip of every power once
+    series, strips = [], []
+    real_series, real_shift = dynamics._series_sum, dynamics._shift_sum
+    monkeypatch.setattr(dynamics, "_series_sum",
+                        lambda x, cut, taus, out: series.append(taus.size)
+                        or real_series(x, cut, taus, out))
+    monkeypatch.setattr(dynamics, "_shift_sum",
+                        lambda prev, at, shifts, start, k, *args: strips.append((k, start))
+                        or real_shift(prev, at, shifts, start, k, *args))
     cut = ModeCutoffs((17, 17))
     cats = [catalog.make_scs(a, 17).data for a in (1.1, 1.2)]
     state = DensityMatrix(cut, np.kron(*cats))
-    series = list(range(1, 33))
-    damp(state.data, cut, np.linspace(0.0, 1.0, 15))
-    assert calls == series
-    calls.clear()
-    evolve(state, [0.25, 0.5, 1.0])
-    assert calls == series
-    calls.clear()
-    # all fifteen stencil times off one series
-    purity_rate_residuals(state, [0.25, 0.5, 1.0])
-    assert calls == series
+    calls = [lambda: damp(state.data, cut, np.linspace(0.0, 1.0, 15)),
+             lambda: evolve(state, [0.25, 0.5, 1.0]),
+             # all fifteen stencil times off one series
+             lambda: purity_rate_residuals(state, [0.25, 0.5, 1.0])]
+    for call, times in zip(calls, (15, 3, 15)):
+        series.clear()
+        strips.clear()
+        call()
+        assert series == [times]
+        assert len(set(strips)) == len(strips)
+        assert {k for k, _ in strips} == set(range(1, 33))
+        # the top strip of every power
+        assert {k for k, start in strips if start == 0} == set(range(1, 33))
 
 
 def test_purity_rate_residuals_does_not_rerun_evolve(monkeypatch):
@@ -251,6 +330,21 @@ def test_purity_rate_residuals_does_not_rerun_evolve(monkeypatch):
         purity_rate_residuals(state, [-0.1, 0.2])
     with pytest.raises(RuntimeError):
         purity_rate_residuals(DensityMatrix(2, np.diag([-2e-9, 1.0])), [0.1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_times_that_are_not_finite_are_refused(bad):
+    # the series of such a time is NaN throughout; each entry point names it
+    state = catalog.make_scs(1.0, 12)
+    message = re.escape(f"time {bad!r} is not finite")
+    with pytest.raises(ValueError, match=message):
+        damp(state.data, state.cutoffs, bad)
+    with pytest.raises(ValueError, match=message):
+        damp(state.data, state.cutoffs, np.array([[0.1, bad], [0.2, 0.3]]))
+    with pytest.raises(ValueError, match=message):
+        evolve(state, [0.1, bad])
+    with pytest.raises(ValueError, match=message):
+        purity_rate_residuals(state, [bad])
 
 
 def test_ignored_step_keyword_changes_nothing():
