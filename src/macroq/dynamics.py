@@ -15,8 +15,8 @@ read wraps into the next row.  The powers are swept in row strips from the
 bottom up: a strip holds all its powers, and below them a halo of the
 R_0 + 1 rows the next power reads, within one budget of bytes
 (``_BLOCK_BYTES``), and one matrix product per strip sums them into every
-time.  Where the halo leaves no room, the powers go in blocks, each its own
-sweep, and in the limit one strip spans the matrix.  A^k rho vanishes in
+time.  Where the halo leaves no room, one strip spans the matrix and the
+powers go in blocks of whole matrices.  A^k rho vanishes in
 every row of total occupation above K - k, so each power is made, and
 summed, over its leading rows only.  An input state is checked for
 positivity by one Cholesky factorization, kept on the state, and the
@@ -70,11 +70,9 @@ def _support_rows(cutoffs: ModeCutoffs) -> np.ndarray:
 def _plan(n: int, halo: int, size: int, row_bytes: int, times: int) -> tuple[int, int, int]:
     """(powers per block, rows per strip, rows per product) of ``_series_sum``.
 
-    A strip holds its rows and a halo of ``halo`` rows below them for every
-    power of a block, within ``_BLOCK_BYTES``.  All ``size`` powers go in
-    one block when the strip they leave is at least a halo tall; otherwise
-    the powers split into blocks that leave one that tall.  Where the strip
-    and its halo would span the matrix, or no strip fits, the strip is the
+    A strip holds its rows and a halo of ``halo`` rows below them for all
+    ``size`` powers, within ``_BLOCK_BYTES``.  Where that strip is shorter
+    than its halo, or it and its halo span the matrix, the strip is the
     whole matrix, and a block holds as many whole powers as the budget
     does, two at least, so that the last power of a block is kept until the
     next block has read it.  A block after the first is added into out a
@@ -82,28 +80,25 @@ def _plan(n: int, halo: int, size: int, row_bytes: int, times: int) -> tuple[int
     ``times``.
     """
     rows = max(1, _BLOCK_BYTES // row_bytes)
-    per = size
-    if rows // per < 2 * halo:
-        per = max(1, rows // (2 * halo))
-    strip = rows // per - halo
-    if strip < 1 or strip + halo >= n:
+    per, strip = size, rows // size - halo
+    if strip < max(1, halo) or strip + halo >= n:
         per, strip = min(size, max(2, rows // n)), n
     return per, strip, max(1, min(strip, rows // per) // times)
 
 
-def _shift_sum(prev: np.ndarray, at: int, shifts, start: int, k: int,
-               dst: np.ndarray, scratch: np.ndarray) -> None:
+def _shift_sum(prev: np.ndarray, shifts, start: int, k: int, dst: np.ndarray,
+               scratch: np.ndarray) -> None:
     """Write A prev / k into dst, the flat entries start, start + 1, ... of the power.
 
-    ``prev`` holds the power before from flat entry start - at on, and each
-    mode is one contiguous 1-D shift of it (``fock.flat_shift_weights``),
-    cut where the shift would read past the matrix; dst is zero past the
+    ``prev`` holds the power before from flat entry start on, and each mode
+    is one contiguous 1-D shift of it (``fock.flat_shift_weights``), cut
+    where the shift would read past the matrix; dst is zero past the
     longest cut.  The shifts of the modes after the first go through
     ``scratch`` a piece at a time before they are added.
     """
     for i, (offset, weights) in enumerate(shifts):
         e = min(dst.size, weights.size - start)
-        src = prev[at + offset:]
+        src = prev[offset:]
         if not i:
             np.multiply(weights[start:start + e], src[:e], out=dst[:e])
             dst[e:] = 0.0
@@ -131,13 +126,11 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
     both sides while the strip of out is still in cache.
 
     When the strips and halos of all the powers do not fit ``_BLOCK_BYTES``
-    (``_plan``), the powers go in blocks, each swept over all the strips and
-    added into out, and a full matrix carries the last power of a block to
-    the first of the next.  It is written a halo behind the sweep, over rows
-    no later strip reads; where the strip is the whole matrix, it is the
-    block's last power itself.  A power vanishes past its leading
-    ``_support_rows`` rows, so it is made and summed over those only, and a
-    strip of a power beyond them stays zero.
+    (``_plan``), the strip is the whole matrix and the powers go in blocks,
+    each added into out; the last slot carries a block's last power to the
+    first of the next.  A power vanishes past its leading ``_support_rows``
+    rows, so it is made and summed over those only, and a strip of a power
+    beyond them stays zero.
     """
     n = x.shape[0]
     size = sum(cutoffs.cutoffs) - cutoffs.modes + 1
@@ -148,16 +141,12 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
     halo = shifts[-1][0] // n + 1 if shifts else 0
     support = _support_rows(cutoffs)[::-1]  # rows of power k
     per, strip, group = _plan(n, halo, size, x.strides[0], taus.size)
-    whole = strip == n
     height = min(n, strip + halo)
     buf = np.zeros((per, height * n), dtype=x.dtype)
     flat_buf = buf.view(np.float64)
     flat_out = out.reshape(taus.size, -1).view(np.float64)
     row = flat_out.shape[1] // n  # floats per matrix row
     flat_x = x.reshape(-1)
-    # carries the last power of a block to the next one; where the strip is
-    # the whole matrix, that power's own slot does
-    carry = buf[-1] if whole or per == size else np.empty_like(flat_x)
     # a slot's share of the budget, or one group of rows for every time
     share = max(1, _BLOCK_BYTES // (per * x.strides[0]))
     scratch = np.empty(n * max(min(strip, share), taus.size * group), dtype=x.dtype)
@@ -165,8 +154,6 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
     s = np.exp(-0.5 * taus[:, None] * number_diagonal(cutoffs))
     for k0 in range(0, size, per):
         k1 = min(size, k0 + per)
-        if k0 and not whole:
-            buf[:] = 0.0
         for r1 in range(n, 0, -strip):
             r0 = max(0, r1 - strip)
             h = r1 - r0
@@ -182,12 +169,12 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
                 dst = buf[made, :(top - r0) * n]
                 if k == 0:
                     dst[:] = flat_x[r0 * n:top * n]
-                elif made:
-                    _shift_sum(buf[made - 1], 0, shifts, r0 * n, k, dst, scratch)
                 else:
-                    _shift_sum(carry, r0 * n, shifts, r0 * n, k, dst, scratch)
-                if whole and k >= per:
-                    # the slot held a power of the block before, of more rows
+                    # a block's first power reads the last slot, which holds
+                    # the last power of the block before
+                    _shift_sum(buf[made - 1], shifts, r0 * n, k, dst, scratch)
+                if k >= per:
+                    # the slot held a whole power of the block before, of more rows
                     buf[made, top * n:int(support[k - per]) * n] = 0.0
                 made += 1
             w = coef[:, k0:k0 + made]
@@ -201,11 +188,6 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
                     term = part[:, :(g1 - g0) * row]
                     np.matmul(w, flat_buf[:made, (g0 - r0) * row:(g1 - r0) * row], out=term)
                     flat_out[:, g0 * row:g1 * row] += term
-            if not whole and k1 < size:
-                # rows from r0 + halo on are read by no strip above
-                lo = 0 if r0 == 0 else halo
-                hi = min(h + halo, n - r0)
-                carry[(r0 + lo) * n:(r0 + hi) * n] = buf[-1, lo * n:hi * n]
             if k1 == size:
                 band = out[:, r0:r1]
                 band *= s[:, r0:r1, None]

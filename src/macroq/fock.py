@@ -40,13 +40,6 @@ class ModeCutoffs:
             raise ValueError(_cutoff_fault(given))
         object.__setattr__(self, "cutoffs", dims)
 
-    @classmethod
-    def _trusted(cls, dims: tuple[int, ...]) -> ModeCutoffs:
-        """The cutoffs of a tuple of ints already known to be at least 1, unchecked."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "cutoffs", dims)
-        return self
-
     @property
     def modes(self) -> int:
         return len(self.cutoffs)
@@ -278,7 +271,7 @@ class DensityMatrix:
 
         self = cls.__new__(cls)
         # _stack_kets returns whole dimensions, one at least once the norms pass
-        self.cutoffs = ModeCutoffs._trusted(dims)
+        self.cutoffs = ModeCutoffs(dims)
         self.kets, self.coeff = kets, coeff / tr
         self._data = None
         self.tail = 0.0

@@ -173,28 +173,28 @@ def _sparse_generator(cut):
 
 def _regime(cut, x):
     size, per, strip, _ = _plan_of(cut, x)
-    if strip == cut.dim:
-        return "whole"
-    return "strips" if per == size else "blocks of strips"
+    if strip < cut.dim:
+        return "strips"
+    return "whole" if per == size else "whole blocks"
 
 
 # cutoffs, _BLOCK_BYTES (None: the default) and the regime it gives packed
 # and complex input
 REGIMES = [
-    ((17, 17), None, "strips", "blocks of strips"),
+    ((17, 17), None, "strips", "whole blocks"),
     ((6, 6, 6), None, "strips", "strips"),
-    ((2,) * 8, None, "whole", "whole"),  # the halo of a qubit's stride n/2 never fits
+    ((2,) * 8, None, "whole blocks", "whole blocks"),  # a qubit's stride n/2: no halo fits
     ((2, 2, 3), None, "whole", "whole"),
     ((3, 1, 5), None, "whole", "whole"),
-    ((6, 6, 6), 2 ** 18, "blocks of strips", "blocks of strips"),
-    ((17, 17), 2 ** 18, "blocks of strips", "blocks of strips"),
+    ((14, 14), 2 ** 21, "strips", "whole blocks"),
+    ((6, 6, 6), 2 ** 18, "whole blocks", "whole blocks"),
 ]
 
 
 @pytest.mark.parametrize("cutoffs,budget,packed,full", REGIMES)
 def test_series_regimes_match_the_generator_exponential(monkeypatch, cutoffs, budget, packed,
                                                         full):
-    # strips with a halo, the whole-matrix limit and several blocks of strips,
+    # strips with a halo, the whole-matrix limit in one block and in several,
     # against expm of the generator, complex and packed, for either sign of tau
     cut = ModeCutoffs(cutoffs)
     d = cut.dim
@@ -217,7 +217,8 @@ def _untrimmed_series_sum(x, cut, taus):
     association: the powers per block, rows per strip and rows per product
     of ``dynamics._plan``, and each product over the powers of the block not
     zero on its strip.  Each power is made over all its rows, and a block
-    after the first is added over all the rows of every strip."""
+    after the first, whose strip is the whole matrix, is added over all its
+    rows."""
     size, per, strip, group = _plan_of(cut, x, taus.size)
     n = x.shape[0]
     coef = (-np.expm1(-taus))[:, None] ** np.arange(size)
@@ -259,8 +260,8 @@ def test_trimmed_series_matches_the_untrimmed_one(monkeypatch, cutoffs, per):
     # each power is made and summed over its leading rows only; the result is
     # the untrimmed series in the same strips and blocks bit for bit, complex
     # and packed, for either sign of tau.  A budget of per matrices gives
-    # several blocks, of strips or of whole matrices; the default, one block
-    # of strips where the halo fits
+    # several blocks of whole matrices; the default, one block of strips
+    # where the halo fits
     cut = ModeCutoffs(cutoffs)
     d = cut.dim
     rho = _random_state(cut, 13).data
@@ -293,8 +294,8 @@ def test_damp_reads_every_time_off_one_series(monkeypatch):
                         lambda x, cut, taus, out: series.append(taus.size)
                         or real_series(x, cut, taus, out))
     monkeypatch.setattr(dynamics, "_shift_sum",
-                        lambda prev, at, shifts, start, k, *args: strips.append((k, start))
-                        or real_shift(prev, at, shifts, start, k, *args))
+                        lambda prev, shifts, start, k, *args: strips.append((k, start))
+                        or real_shift(prev, shifts, start, k, *args))
     cut = ModeCutoffs((17, 17))
     cats = [catalog.make_scs(a, 17).data for a in (1.1, 1.2)]
     state = DensityMatrix(cut, np.kron(*cats))

@@ -1,5 +1,6 @@
 """Tests for the low-rank product-state engine."""
 
+import gc
 import math
 import sys
 
@@ -356,18 +357,27 @@ def test_array_terms_get_the_checks_of_list_terms(terms, message):
 
 
 def _calls_to_build_and_measure(n_modes):
-    """Python and C calls made while building DUR over n_modes and measuring it."""
+    """Python and C calls made while building DUR over n_modes and measuring it.
+
+    The garbage collector is off meanwhile: a collection runs the Python
+    callbacks in ``gc.callbacks`` (hypothesis installs one), which would
+    count as calls whenever an allocation happens to trigger it.
+    """
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event in ("call", "c_call")
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         measure_lowrank(catalog.make_dur(n_modes, 0.3))
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return calls
 
 
