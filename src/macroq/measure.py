@@ -123,60 +123,53 @@ def measure_operator(state: DensityMatrix) -> MeasureResult:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _MAX_HALVINGS = 12
-_ANGLES_START, _ANGLES_MAX = 64, 1024  # trapezoid angles: first pass, cap
 
 
-def _angular_mean(chi):
-    """Return a function r -> mean over angles of |chi(r e^{i t})|^2, r an array.
+def _char_moments(chi) -> tuple[float, float]:
+    """The (<n>, P) of a chi that meets the quadrature route's contract.
 
-    Uses the exact diagonal decomposition when the callable provides it, and a
-    doubling periodic trapezoid otherwise (callables must accept ndarrays),
-    where each radius stops doubling on its own once two passes agree.
+    The route reads a chi only through ``angular_mean_sq(r)``, the angular
+    mean of |chi|^2 as an array of r's shape, its mean occupation
+    ``mean_n``, which must be finite, and its ``purity``, which must be
+    finite and positive.  Raises ValueError naming the first of these that
+    is missing or bad.
     """
-    if hasattr(chi, "angular_mean_sq"):
-        return lambda r: np.asarray(chi.angular_mean_sq(np.ravel(r)),
-                                    dtype=float).reshape(np.shape(r))
-
-    def s(r):
-        flat = np.ravel(r).astype(float)
-        out = np.empty(flat.size)
-        todo = np.arange(flat.size)
-        prev = None
-        n = _ANGLES_START
-        while todo.size:
-            th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-            val = np.mean(np.abs(chi(flat[todo, None] * np.exp(1j * th))) ** 2, axis=1)
-            done = np.full(todo.size, n >= _ANGLES_MAX)
-            if prev is not None:
-                done |= np.abs(val - prev) <= np.maximum(1e-10 * np.abs(val), 1e-15)
-            out[todo[done]] = val[done]
-            todo, prev, n = todo[~done], val[~done], 2 * n
-        return out.reshape(np.shape(r))
-    return s
+    kind = type(chi).__name__
+    if not callable(getattr(chi, "angular_mean_sq", None)):
+        raise ValueError(f"the char-quadrature route needs a chi with an angular_mean_sq(r) "
+                         f"method, which a {kind} lacks")
+    moments = []
+    for name in ("mean_n", "purity"):
+        try:
+            value = float(getattr(chi, name))
+        except (AttributeError, TypeError, ValueError):
+            raise ValueError(f"the char-quadrature route needs a chi with a real {name}, "
+                             f"which a {kind} lacks") from None
+        if not np.isfinite(value) or (name == "purity" and value <= 0.0):
+            need = "finite and positive" if name == "purity" else "finite"
+            raise ValueError(f"the {name} of a chi must be {need}, not {value!r}")
+        moments.append(value)
+    return moments[0], moments[1]
 
 
-def _probe_radial_cut(s, mean_n: float | None = None,
-                      purity: float | None = None) -> tuple[float, tuple]:
+def _probe_radial_cut(s, mean_n: float, purity: float) -> tuple[float, tuple]:
     """Walk outward in unit steps until the integrand weight is negligible.
 
     The walk stops at the first radius where r^3 s(r) < 1e-15 and s is not
-    rising, and returns two units past it.  It starts at r = 2 and is capped
-    at 30, unless the state's mean occupation <n> is known: then it starts
-    at max(2, 2 sqrt(<n>)) and is capped 30 further out.  A superposition
-    of branches at +-beta has interference wings at |xi| = 2 |beta| and
-    <n> >= |beta|^2 tanh |beta|^2, so once the branches are split far enough
-    to leave a gap between the centre and the wings, the walk starts within
-    a few per cent of the wings or past them, and never stops in that gap.
-    When the state's purity P is known, the 30 units of the cap grow to
-    30 / sqrt(P): a chi broadened V-fold, as the thermal superposition is,
-    has wings about sqrt(V) wide and a purity of about 1 / V.  The steps
-    widen past unit length where needed to keep the walk to 3000 radii, so
-    its arrays stay at tens of kilobytes; up to a purity of 1e-4 they are
-    unit steps.
+    rising, and returns two units past it.  It starts at max(2, 2 sqrt(<n>))
+    for the state's mean occupation <n>: a superposition of branches at
+    +-beta has interference wings at |xi| = 2 |beta| and <n> >= |beta|^2
+    tanh |beta|^2, so once the branches are split far enough to leave a gap
+    between the centre and the wings, the walk starts within a few per cent
+    of the wings or past them, and never stops in that gap.  It is capped
+    30 / sqrt(P) past its start, for the state's purity P: a chi broadened
+    V-fold, as the thermal superposition is, has wings about sqrt(V) wide
+    and a purity of about 1 / V.  The steps widen past unit length where
+    needed to keep the walk to 3000 radii, so its arrays stay at tens of
+    kilobytes; up to a purity of 1e-4 they are unit steps.
     """
-    start = 2.0 if mean_n is None else max(2.0, 2.0 * np.sqrt(max(mean_n, 0.0)))
-    reach = 30.0 / np.sqrt(min(purity, 1.0)) if purity else 30.0
-    cap = reach if mean_n is None else start + reach
+    start = max(2.0, 2.0 * np.sqrt(max(mean_n, 0.0)))
+    cap = start + 30.0 / np.sqrt(min(purity, 1.0))
     radii = np.arange(start, cap, max(1.0, (cap - start) / 3000.0))
     prev = np.inf
     for r, cur in zip(radii, s(radii)):
@@ -258,17 +251,6 @@ def _panel_quadrature(s, edges) -> tuple[np.ndarray, float, int]:
             return value, err, int((~ok).sum())
         a, mid, b = a[~done], mid[~done], b[~done]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-
-
-def _mean_n_from_char(chi) -> float:
-    """Second derivative of chi at the origin, angularly averaged, Richardson-refined."""
-    def est(h):
-        pts = np.array([h, -h, 1j * h, -1j * h], dtype=complex)
-        avg = float(np.mean(np.real(chi(pts))))
-        return (1.0 - avg) / h ** 2 - 0.5
-    e1 = est(2e-3)
-    e2 = est(1e-3)
-    return (4.0 * e2 - e1) / 3.0
 
 
 def _gauss_laguerre(n: int, with_tensor: bool):
@@ -354,43 +336,44 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
                             tol: float = 1e-8) -> MeasureResult:
     """Integrate (|xi|^2 - 1)|chi|^2 / (2 pi) over the plane of one mode.
 
-    ``chi`` is a single-mode characteristic function, a callable on complex
-    arrays; the angle is exact when it has ``angular_mean_sq``, as every
-    chi the package builds does (``DenseChar``, ``GaussianChar``,
-    ``ThermalSCSChar``), and trapezoid-sampled otherwise.  The radius takes
-    one of two paths.
+    ``chi`` is a single-mode characteristic function, read only through
+    |chi|^2.  It must have ``angular_mean_sq(r)``, the mean of |chi|^2 over
+    the circle of each radius r as an array of r's shape, a finite
+    ``mean_n`` and a finite, positive ``purity``, as every chi the package
+    builds does (``DenseChar``, ``GaussianChar``, ``ThermalSCSChar``).  The
+    route checks this at entry and raises ValueError naming what is missing
+    or bad; a bare callable is wrapped in a class with the three
+    attributes.  The radius takes one of two paths.
 
-    A ``chi`` that exposes ``levels``, the Fock levels its state occupies
-    (``DenseChar``), takes the exact rule when no ``radial_cut`` is given:
-    on D levels the angular mean of |chi|^2 is e^{-u} times a polynomial of
-    degree at most 2(D - 1) in u = r^2, so the D-node Gauss-Laguerre rule
-    (:func:`_laguerre_rule`) gives both the I and the purity integral
-    exactly, from one evaluation of the integrand at D radii, with no cut,
-    panels or tail.  Its err_estimate is the purity closure |P_quad - P|
-    plus the rounding bound 50 eps times the sum of the |terms| of I.  A
-    ``DenseChar`` whose rule fits the node-rule cache (D <= 50,
-    :func:`_node_rule_fits`) reads those D values off the cached node tensor
-    T[k, n, j] = <n+k|D(sqrt u_j)|n> as one contraction with the diagonals
-    of its matrix (``phasespace._angular_mean_sq_at_nodes``); any other
-    such ``chi``, and a larger D, calls ``angular_mean_sq`` at the nodes,
-    which reruns the displacement recurrence.
+    A ``chi`` that also exposes ``levels``, the Fock levels its state
+    occupies (``DenseChar``), takes the exact rule when no ``radial_cut`` is
+    given: on D levels the angular mean of |chi|^2 is e^{-u} times a
+    polynomial of degree at most 2(D - 1) in u = r^2, so the D-node
+    Gauss-Laguerre rule (:func:`_laguerre_rule`) gives both the I and the
+    purity integral exactly, from one evaluation of the integrand at D
+    radii, with no cut, panels or tail.  Its err_estimate is the purity
+    closure |P_quad - P| plus the rounding bound 50 eps times the sum of
+    the |terms| of I.  A ``DenseChar`` whose rule fits the node-rule cache
+    (D <= 50, :func:`_node_rule_fits`) reads those D values off the cached
+    node tensor T[k, n, j] = <n+k|D(sqrt u_j)|n> as one contraction with
+    the diagonals of its matrix (``phasespace._angular_mean_sq_at_nodes``);
+    any other such ``chi``, and a larger D, calls ``angular_mean_sq`` at
+    the nodes, which reruns the displacement recurrence.
 
-    Any other ``chi`` (``GaussianChar``, ``ThermalSCSChar``, a bare
-    callable), and any call with ``radial_cut``, runs on adaptive panels
-    (:func:`_panel_quadrature`) up to the cut; without one the integrand is
-    probed for it (:func:`_probe_radial_cut`, from r = 2 sqrt(<n>) when
-    ``chi`` carries ``mean_n``), and a Gaussian tail estimate joins the
-    error.  When ``chi`` carries ``purity``, the panels' purity integral
-    closes against it too, so weight the cut misses shows in err_estimate.
+    Any other ``chi`` (``GaussianChar``, ``ThermalSCSChar``), and any call
+    with ``radial_cut``, runs on adaptive panels (:func:`_panel_quadrature`)
+    up to the cut; without one the integrand is probed for it
+    (:func:`_probe_radial_cut`, from r = 2 sqrt(<n>)), and a Gaussian tail
+    estimate joins the error.  The panels' purity integral closes against
+    ``purity`` too, so weight the cut misses shows in err_estimate.
 
-    Purity and occupation come from ``chi`` when it carries them.  Raises
+    Purity and occupation are those ``chi`` carries.  Raises
     ConvergenceError, with the partial result attached, when the error
     budget lands above 50 * tol or the integrand is not finite.
     """
-    s = _angular_mean(chi)
+    mean, purity = _char_moments(chi)
+    s = chi.angular_mean_sq
     levels = getattr(chi, "levels", None)
-    mean_attr = getattr(chi, "mean_n", None)
-    pur_attr = getattr(chi, "purity", None)
     warns = []
     if levels is not None and radial_cut is None:
         D = int(levels)
@@ -406,7 +389,7 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
         hint = f"the {D}-node rule does not close the state's purity"
     else:
         if radial_cut is None:
-            R, capped = _probe_radial_cut(s, mean_attr, pur_attr)
+            R, capped = _probe_radial_cut(s, mean, purity)
             warns.extend(capped)
         else:
             R = float(radial_cut)
@@ -420,9 +403,7 @@ def measure_char_quadrature(chi, radial_cut: float | None = None,
         quad_p = 2.0 * (val_p + tail_p if np.isfinite(tail_p) else val_p)
         hint = ("the radial integrand is not finite" if not np.isfinite(value)
                 else "the radial cut is likely too small for this state")
-    mean = float(mean_attr) if mean_attr is not None else _mean_n_from_char(chi)
-    purity = quad_p if pur_attr is None else float(pur_attr)
-    err += abs(quad_p - purity)  # the purity closure, 0 when chi carries none
+    err += abs(quad_p - purity)  # the purity closure
 
     result = MeasureResult(value=float(value), route="char-quadrature", mean_n=mean,
                            purity=purity, err_estimate=float(err), warnings=tuple(warns))
@@ -575,11 +556,12 @@ def measure(state, route: str | None = None) -> MeasureResult:
     takes ``low-rank``, any other ``DensityMatrix`` takes ``operator`` and
     any other object, taken to be a characteristic function
     (``GaussianChar``, ``ThermalSCSChar``, ``DenseChar``), takes
-    ``char-quadrature``.  ``char-quadrature`` wraps a ``DensityMatrix`` with
-    ``char_of``, so the route takes its exact radial rule; callers that
-    need their own cut or grid call the route functions directly.  A state
-    that lacks the form a route needs, and an unknown route, raise
-    ValueError.
+    ``char-quadrature``, which raises ValueError for one that does not meet
+    its contract (:func:`measure_char_quadrature`).  ``char-quadrature``
+    wraps a ``DensityMatrix`` with ``char_of``, so the route takes its exact
+    radial rule; callers that need their own cut or grid call the route
+    functions directly.  A state that lacks the form a route needs, and an
+    unknown route, raise ValueError.
     """
     from .catalog import STATES, Named  # catalog and lowrank import this module
     from .lowrank import measure_lowrank

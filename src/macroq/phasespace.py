@@ -108,12 +108,13 @@ def char_points(mat: np.ndarray, pts) -> np.ndarray:
 
 
 def _angular_mean_sq(rho: np.ndarray, r) -> np.ndarray:
-    """Exact angular average of |chi|^2 at radius r, for Hermitian rho.
+    """Exact angular average of |chi|^2 at the radii r, in r's shape, for Hermitian rho.
 
     Writing chi(r e^{i theta}) = sum_k c_k(r) e^{i k theta}, the average is
     sum_k |c_k|^2, and Hermiticity ties c_{-k} to c_k.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    shape = np.shape(r)
+    r = np.ravel(np.asarray(r, dtype=float))
     acc = np.zeros(r.size)
     zero = r == 0.0
     nz = ~zero
@@ -124,7 +125,7 @@ def _angular_mean_sq(rho: np.ndarray, r) -> np.ndarray:
         acc[nz] = vals
     if zero.any():
         acc[zero] = float(np.abs(rho.trace()) ** 2)
-    return acc
+    return acc.reshape(shape)
 
 
 def _angular_mean_sq_at_nodes(rho: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -147,12 +148,13 @@ def _angular_mean_sq_at_nodes(rho: np.ndarray, tensor: np.ndarray) -> np.ndarray
 class DenseChar:
     """Characteristic function of a dense single-mode state, callable on arrays.
 
-    Exposes :meth:`angular_mean_sq` so the quadrature route can integrate the
-    angle exactly instead of sampling it, and ``levels``, the count of Fock
-    levels up to the highest significant one (the trim ``_diagonal_sums``
-    applies), so that without a ``radial_cut`` the route integrates the
-    radius by the exact Gauss-Laguerre rule on that many nodes instead of
-    probing for a cut and running panels.
+    Carries what the quadrature route reads from every chi: the exact
+    angular mean :meth:`angular_mean_sq` of |chi|^2, and the state's
+    ``mean_n`` and ``purity``.  Its ``levels``, the count of Fock levels up
+    to the highest significant one (the trim ``_diagonal_sums`` applies),
+    lets the route integrate the radius, without a ``radial_cut``, by the
+    exact Gauss-Laguerre rule on that many nodes instead of probing for a
+    cut and running panels.
     """
 
     def __init__(self, state: DensityMatrix):
