@@ -95,7 +95,8 @@ def _pure(amp: np.ndarray) -> DensityMatrix:
     return DensityMatrix._from_hermitian(cutoffs, rho)
 
 
-_TAIL_BLOCK = 1024  # levels per pass of the sums past a cutoff
+_TAIL_FIRST = 32  # levels of the first pass of the sums past a cutoff
+_TAIL_BLOCK = 1024  # most levels per pass
 
 
 def _tail_moments(log_p: Callable, cutoff: int) -> tuple[float, float]:
@@ -107,19 +108,22 @@ def _tail_moments(log_p: Callable, cutoff: int) -> tuple[float, float]:
     as <n> minus the sum of the kept levels, T would lose every digit once
     it fell below about 1e-13 <n>.  Every distribution summed here falls off
     monotonically past a cutoff the leak gate accepts, so once a block adds
-    nothing no later one does.
+    nothing no later one does.  The first block is ``_TAIL_FIRST`` levels
+    and each next one twice the last, up to ``_TAIL_BLOCK``: a tail that
+    dies within a few dozen levels costs a few dozen terms.
     """
     eps = T = 0.0
-    lo = cutoff
+    lo, size = cutoff, _TAIL_FIRST
     while True:
-        n = np.arange(lo, lo + _TAIL_BLOCK)
+        n = np.arange(lo, lo + size)
         p = np.exp(log_p(n))
         eps += float(p.sum())
         added = float(n @ p)
         T += added
         if not added > 1e-17 * T:  # a NaN stops the sums too
             return eps, T
-        lo += _TAIL_BLOCK
+        lo += size
+        size = min(2 * size, _TAIL_BLOCK)
 
 
 def _with_tail(state: DensityMatrix, log_p: Callable | None) -> DensityMatrix:

@@ -21,7 +21,9 @@ every row of total occupation above K - k, so each power is made, and
 summed, over its leading rows only.  An input state is checked for
 positivity by one Cholesky factorization, kept on the state, and the
 recorded states, Hermitian by construction, skip the Hermiticity test of
-the public constructor.
+the public constructor.  The purity-rate residuals build no state at all:
+the purity of each stencil leg and I of each record time are read off the
+packed real matrix Re rho + Im rho the series yields (``_packed_value``).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (DensityMatrix, ModeCutoffs, a_rho_adag, as_cutoffs, flat_shift_weights,
-                   number_diagonal)
+from .fock import (DensityMatrix, ModeCutoffs, _exchange_trace, _ladder, a_rho_adag, as_cutoffs,
+                   flat_shift_weights, number_diagonal)
 from .measure import measure_operator
 
 # smallest eigenvalue an input state to evolve may have
@@ -159,8 +161,10 @@ def _series_sum(x: np.ndarray, cutoffs: ModeCutoffs, taus: np.ndarray,
             h = r1 - r0
             # the powers the strip below reached hand their top rows on as the halo
             held = int(np.count_nonzero(support[k0:k1] > r1))
-            if held:
-                buf[:held, h * n:(h + halo) * n] = buf[:held, :halo * n]
+            # one 1-D copy per slot: the 2-D copy's bounds overlap across
+            # slots, so numpy would stage it through a temporary
+            for slot in buf[:held]:
+                slot[h * n:(h + halo) * n] = slot[:halo * n]
             made = 0
             for k in range(k0, k1):
                 top = min(r1, int(support[k]))
@@ -258,6 +262,22 @@ def _unpacked(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _packed_value(y: np.ndarray, ladders) -> float:
+    """I of the state whose packed form is y, read off y itself.
+
+    ``ladders`` holds the ``fock._ladder`` of each mode, whose levels sum to
+    the total number n.  Under weights symmetric in (i, j) the symmetric
+    part Re rho and the antisymmetric part Im rho of y do not mix, so
+    sum_m Tr(rho^2 n_m) is sum_ij (n_i + n_j) y_ij^2 / 2, and each exchange
+    term is ``fock._exchange_trace`` of y as a real matrix.  Both are
+    divided by tr(y)^2, the squared trace of rho.
+    """
+    number = sum(level for _, level, _ in ladders)
+    second = 0.5 * (np.einsum("ij,ij->i", y, y) + np.einsum("ij,ij->j", y, y)) @ number
+    exchange = sum(_exchange_trace(y, stride, w) for stride, _, w in ladders)
+    return float(second - exchange) / float(y.trace()) ** 2
+
+
 @dataclass(frozen=True)
 class TrajectoryPoint:
     tau: float
@@ -309,12 +329,18 @@ def purity_rate_residuals(state: DensityMatrix, taus, step=None) -> np.ndarray:
     four legs are the channel applied to the input state, all read off one
     series (the semigroup makes this exact, also for the inverse map a leg
     takes when tau < 2h), so the residual measures the identity itself and
-    the stencil's O(h^4) error.
+    the stencil's O(h^4) error.  Both numbers are read off the packed
+    states of ``_packed_batches``: the purity of each leg is the sum of
+    squares of its packed matrix, and I of each record state is
+    ``_packed_value``, so no leg is unpacked into a complex matrix or a
+    ``DensityMatrix``.  I takes the operator route's 2-D shift kernel
+    (``fock._exchange_trace``), apart from the series' flat 1-D shifts.
     The input and the times are checked as ``evolve`` checks them.  ``step``
     is accepted and ignored, for callers of the former integrator.
     """
     times = _checked_times(state, taus)
     cut = state.cutoffs
+    ladders = [_ladder(cut, m) for m in range(cut.modes)]
     h = STENCIL_STEP
     legs = (times[:, None] + h * np.arange(-2, 3)).ravel()
     ps = np.empty(legs.size)
@@ -323,8 +349,7 @@ def purity_rate_residuals(state: DensityMatrix, taus, step=None) -> np.ndarray:
         ps[start:start + len(stack)] = np.einsum("tij,tij->t", stack, stack)
         for i in range(start, start + len(stack)):
             if i % 5 == 2:
-                point = DensityMatrix._from_hermitian(cut, _unpacked(stack[i - start]))
-                values[i // 5] = measure_operator(point).value
+                values[i // 5] = _packed_value(stack[i - start], ladders)
     ps = ps.reshape(-1, 5)
     dp = (-ps[:, 4] + 8.0 * ps[:, 3] - 8.0 * ps[:, 1] + ps[:, 0]) / (12.0 * h)
     return np.abs(dp + 2.0 * values)

@@ -624,12 +624,20 @@ def exchange_trace(rho: np.ndarray, cutoffs, mode: int) -> float:
 
 
 def _exchange_trace(rho: np.ndarray, stride: int, w: np.ndarray) -> float:
-    """``exchange_trace`` from the stride and weights of the mode's ``_ladder``."""
+    """``exchange_trace`` from the stride and weights of the mode's ``_ladder``.
+
+    A real rho is read as its own float view.  On the packed form
+    Re rho + Im rho of a Hermitian rho this is the trace of rho itself: the
+    weights w_i w_y and the shift are symmetric in (i, y), so the products
+    of the symmetric with the antisymmetric part sum to zero.
+    """
     n = rho.shape[0] - stride
     w = w[:n]
-    flat = np.ascontiguousarray(rho, dtype=complex).view(np.float64)
-    upper, lower = flat[stride:, 2 * stride:], flat[:n, :2 * n]
-    return float(np.einsum("iy,iy,y->i", upper, lower, np.repeat(w, 2)) @ w)
+    # floats per entry
+    parts = 1 if np.isrealobj(rho) else 2
+    flat = rho if parts == 1 else np.ascontiguousarray(rho, dtype=complex).view(np.float64)
+    upper, lower = flat[stride:, parts * stride:], flat[:n, :parts * n]
+    return float(np.einsum("iy,iy,y->i", upper, lower, np.repeat(w, parts)) @ w)
 
 
 def factored_exchange_trace(V: np.ndarray, C: np.ndarray, cutoffs, mode: int) -> float:

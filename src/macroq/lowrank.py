@@ -32,8 +32,9 @@ def measure_lowrank(state: DensityMatrix) -> MeasureResult:
     (r, r, M) arrays, each one elementwise pass with the mode axis last; the
     sum over m of the exchange traces contracts m first, as one
     (r^2, M) @ (M, r^2) product, and then the r^4 sum with c.  O(M r^2 d_max)
-    in all.  The result is exact on the state's declared space, so
-    err_estimate is zero.
+    in all.  The purity Tr(c G c G) is read as the sum of squares
+    ||L^H c L||_F^2, G = L L^H from the eigenpairs of G.  The result is exact
+    on the state's declared space, so err_estimate is zero.
     """
     c = state.coeff
     r = c.shape[0]
@@ -58,6 +59,11 @@ def measure_lowrank(state: DensityMatrix) -> MeasureResult:
     exchange = np.einsum("ij,kl,jkil->", c, c, w)
     value = float(np.real(np.einsum("ij,jk,kl,li->", c, gram, c, gn) - exchange))
     mean = float(np.real(np.einsum("ij,ji->", c, gn)))
-    purity = float(np.real(np.einsum("ij,jk,kl,li->", c, gram, c, gram)))
+    # a sum of squares keeps its digits where c is large and G nearly
+    # singular, and Tr(c G c G) does not; G's eigenvalues below 0 are rounding
+    lam, vecs = np.linalg.eigh(gram)
+    root = vecs * np.sqrt(np.clip(lam, 0.0, None))
+    half = root.conj().T @ c @ root
+    purity = float(np.vdot(half, half).real)
     return MeasureResult(value=value, route="low-rank", mean_n=mean,
                          purity=purity, err_estimate=0.0)

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from macroq import catalog, dynamics
 from macroq.dynamics import damp, evolve, lindblad_rhs, purity_rate_residuals
-from macroq.fock import (DensityMatrix, ModeCutoffs, annihilation_op, as_cutoffs,
+from macroq.fock import (DensityMatrix, ModeCutoffs, _ladder, annihilation_op, as_cutoffs,
                          flat_shift_weights, number_diagonal)
 from macroq.measure import measure_operator
 
@@ -254,14 +254,29 @@ def _untrimmed_series_sum(x, cut, taus):
     return out
 
 
+# at the default budget, strips whose top one is shorter than the halo: the
+# halo a slot hands on to that strip overlaps its source in the slot
+SHORT_TOPS = [((17, 17), float), ((6, 6, 6), complex)]
+
+
+def test_some_trimmed_cases_have_a_top_strip_shorter_than_the_halo():
+    for cutoffs, dtype in SHORT_TOPS:
+        cut = ModeCutoffs(cutoffs)
+        _, _, strip, _ = _plan_of(cut, np.zeros((cut.dim, cut.dim), dtype=dtype))
+        halo = cut.dim // cut.cutoffs[0] + 1
+        assert 0 < cut.dim % strip < halo
+
+
 @pytest.mark.parametrize("per", [1, 2, None])
-@pytest.mark.parametrize("cutoffs", [(40,), (14, 14), (17, 17), (3, 1, 5), (2, 7, 3), (2,) * 8])
+@pytest.mark.parametrize("cutoffs", [(40,), (14, 14), (17, 17), (3, 1, 5), (2, 7, 3), (2,) * 8,
+                                     (6, 6, 6)])
 def test_trimmed_series_matches_the_untrimmed_one(monkeypatch, cutoffs, per):
     # each power is made and summed over its leading rows only; the result is
     # the untrimmed series in the same strips and blocks bit for bit, complex
     # and packed, for either sign of tau.  A budget of per matrices gives
     # several blocks of whole matrices; the default, one block of strips
-    # where the halo fits
+    # where the halo fits, with a top strip shorter than the halo on the
+    # cases of SHORT_TOPS
     cut = ModeCutoffs(cutoffs)
     d = cut.dim
     rho = _random_state(cut, 13).data
@@ -331,6 +346,45 @@ def test_purity_rate_residuals_does_not_rerun_evolve(monkeypatch):
         purity_rate_residuals(state, [-0.1, 0.2])
     with pytest.raises(RuntimeError):
         purity_rate_residuals(DensityMatrix(2, np.diag([-2e-9, 1.0])), [0.1])
+
+
+def _two_mode_cat():
+    cats = [catalog.make_scs(a, 17).data for a in (1.1, 1.2)]
+    return DensityMatrix(ModeCutoffs((17, 17)), np.kron(*cats))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _random_state(ModeCutoffs((4, 3)), 3), id="4x3"),
+    pytest.param(lambda: _random_state(ModeCutoffs((3, 1, 4)), 4), id="3x1x4"),
+    pytest.param(lambda: _random_state(ModeCutoffs((2,) * 6), 5), id="qubits6"),
+    pytest.param(_two_mode_cat, id="cat17x17"),
+])
+def test_packed_score_matches_the_operator_route(make):
+    # I read off a packed state is I of the unpacked one; a multiple of the
+    # packed matrix scores the same, its trace divided out
+    state = make()
+    cut = state.cutoffs
+    ladders = [_ladder(cut, m) for m in range(cut.modes)]
+    (_, stack), = dynamics._packed_batches(state, np.array([0.0, 0.3]))
+    for packed in stack:
+        for y in (packed, 1.7 * packed):
+            point = DensityMatrix._from_hermitian(cut, dynamics._unpacked(y))
+            want = measure_operator(point).value
+            assert abs(dynamics._packed_value(y, ladders) - want) <= 1e-13
+
+
+def test_purity_rate_residuals_builds_no_state_and_measures_none(monkeypatch):
+    state = _two_mode_cat()
+    before = purity_rate_residuals(state, [0.0, 0.25, 1.0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("purity_rate_residuals built or measured a state")
+
+    monkeypatch.setattr(DensityMatrix, "_from_hermitian", refuse)
+    monkeypatch.setattr(dynamics, "measure_operator", refuse)
+    after = purity_rate_residuals(state, [0.0, 0.25, 1.0])
+    assert np.array_equal(before, after)
+    assert max(after) < 1e-6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

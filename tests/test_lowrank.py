@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from macroq import catalog
@@ -298,6 +298,9 @@ def _assert_routes_agree(state):
 @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=6), rank=st.integers(1, 4),
        kind=st.sampled_from(["superposition", "mixture", "general"]),
        seed=st.integers(0, 2 ** 32 - 1))
+# one level, two terms of coeff entries near 67 that cancel to a purity of 1:
+# read as Tr(c G c G), the purity lost 2.3e-12 to the cancellation
+@example(dims=[1], rank=2, kind="superposition", seed=1908688602)
 def test_lowrank_matches_the_dense_operator_route_on_random_product_states(dims, rank, kind,
                                                                           seed):
     assume(math.prod(dims) <= 1024)
