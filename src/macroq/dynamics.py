@@ -243,7 +243,10 @@ def _packed_batches(state: DensityMatrix, times: np.ndarray):
     every time of a request up to the dimension that budget names.
     """
     data = state.data
-    x = data.real + data.imag
+    # a real matrix is its own packed form.  Adding 0.0 copies it and turns
+    # -0.0 into 0.0, as adding a zero imaginary part does, so the series is
+    # that of the complex matrix with the same real part, bit for bit
+    x = data + 0.0 if np.isrealobj(data) else data.real + data.imag
     per = max(1, _STACK_BYTES // x.nbytes)
     chunks = np.array_split(times, -(-times.size // per))
     buffer = np.empty((len(chunks[0]),) + x.shape)

@@ -87,7 +87,9 @@ def suggest_cutoff(mean_n: float) -> int:
 
 _TILE = 256
 # entries of a product state's dense matrix that _outer_product_sum fills at a
-# time: a strip of rows, and each of its three scratch strips, stays in cache
+# time: a strip of rows, and each of its three scratch strips, stays in cache.
+# An entry is one float64 when the kets and coefficients are real, otherwise
+# one complex128, whose real and imaginary halves are filled apart
 _STRIP_ENTRIES = 2 ** 15
 
 # largest dimension whose dense matrix a product state builds on request
@@ -154,7 +156,9 @@ class DensityMatrix:
     ``purity`` and ``min_eigenvalue`` need only the kets' r x r overlaps.
     Its dense ``data`` is built from the factors on first read, as an
     exactly Hermitian sum of real outer products, cached, and refused with
-    ValueError above ``MAX_DENSE_DIM``.
+    ValueError above ``MAX_DENSE_DIM``.  That matrix is float64 when the
+    kets and coefficients are real, as every catalog product state's are,
+    and complex128 otherwise; the public constructor always keeps complex128.
 
     ``tail`` bounds how far I of the state lies from I of the untruncated
     state it was cut from: 0.0 on a product state, which spans exactly its
@@ -320,7 +324,8 @@ class DensityMatrix:
     def data(self) -> np.ndarray:
         """The dense matrix.  A product state's is built on first read by
         :func:`_outer_product_sum`: exactly Hermitian and within a few ulp of
-        V C V^H."""
+        V C V^H, and float64 (real symmetric) when the kets and coefficients
+        are real, complex128 otherwise.  The public constructor's is complex128."""
         if self._data is None:
             if self.dim > MAX_DENSE_DIM:
                 raise ValueError(f"dense dimension {self.dim} exceeds the "
@@ -344,10 +349,19 @@ class DensityMatrix:
         return float(np.real(self.data.diagonal() @ number_diagonal(self.cutoffs)))
 
     def purity(self) -> float:
-        """Tr(rho^2); for a product state Tr(C G C G), G the Gram matrix of its terms."""
+        """Tr(rho^2); for a product state Tr(C G C G), G the Gram matrix of its terms.
+
+        A product state reads it as the sum of squares
+        ||Lam^1/2 U^H C U Lam^1/2||_F^2 with G = U Lam U^H from ``eigh``,
+        which keeps its digits where C is large and G nearly singular, and
+        the trace of the product does not.  G's eigenvalues below 0 are
+        rounding and count as 0.
+        """
         if self.kets is not None:
-            cg = self.coeff @ _ket_gram(self.kets)
-            return _trace_product(cg, cg)
+            lam, U = np.linalg.eigh(_ket_gram(self.kets))
+            root = U * np.sqrt(np.clip(lam, 0.0, None))
+            half = root.conj().T @ self.coeff @ root
+            return float(np.vdot(half, half).real)
         # Tr(rho^2) = sum_ij |rho_ij|^2 because data is Hermitian; the float
         # view gives that sum without a transpose or a temporary
         flat = np.ascontiguousarray(self.data).view(np.float64)
@@ -489,8 +503,12 @@ def _outer_product_sum(V: np.ndarray, C: np.ndarray) -> np.ndarray:
     order at (i, j) as at (j, i); a float product does not depend on the
     order of its factors, and swapping the operands of a difference only
     flips its sign, so rho_ji = conj(rho_ij) bit for bit with no transposed
-    pass.  Real factors, which every catalog product
-    state has, skip the imaginary half.
+    pass.
+
+    The matrix is float64 exactly when b is real, which it is when V and C
+    are real, as for every catalog product state: then no imaginary half is
+    allocated or written, half the bytes of a complex build.  Otherwise it
+    is complex128, with its real and imaginary halves written apart.
 
     The output starts as zeros and every strip of _STRIP_ENTRIES entries is
     written, also where b is zero, so the time and the resident memory of the
@@ -508,12 +526,13 @@ def _outer_product_sum(V: np.ndarray, C: np.ndarray) -> np.ndarray:
     mixed = c.any()
     # the real part is the sum of the outer products of the rows of x and y
     x, y = (np.vstack([sa, sc]), np.vstack([a, c])) if mixed else (sa, a)
-    out = np.zeros((n, n), dtype=complex)
+    # a real matrix has no imaginary half to allocate; its .real is itself
+    out = np.zeros((n, n), dtype=complex if mixed else float)
     step = max(1, _STRIP_ENTRIES // n)
     scratch = np.empty((3, min(step, n), n))
     for i0 in range(0, n, step):
         rows = slice(i0, i0 + step)
-        re, im = out.real[rows], out.imag[rows]
+        re = out.real[rows]
         plus, minus, spare = scratch[:, :re.shape[0]]
         if len(x) == 1:  # a single term goes straight into place
             np.multiply.outer(x[0, rows], y[0], out=re)
@@ -521,7 +540,7 @@ def _outer_product_sum(V: np.ndarray, C: np.ndarray) -> np.ndarray:
             re[...] = _sum_of_outers(x[:, rows], y, plus, spare)
         if mixed:
             np.subtract(_sum_of_outers(sc[:, rows], a, plus, spare),
-                        _sum_of_outers(sa[:, rows], c, minus, spare), out=im)
+                        _sum_of_outers(sa[:, rows], c, minus, spare), out=out.imag[rows])
     return out
 
 

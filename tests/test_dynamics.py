@@ -525,6 +525,21 @@ def test_evolve_points_equal_those_of_the_public_constructor():
         assert (point.value, point.purity, point.mean_n) == (res.value, res.purity, res.mean_n)
 
 
+def test_a_real_product_state_runs_the_series_of_its_complex_matrix():
+    # the -1 in a ket leaves entries of -0.0 in the float64 data, where the
+    # packed form Re rho + Im rho of the complex matrix holds 0.0
+    state = DensityMatrix.superposition([[np.array([1.0, 0.0]), np.array([0.0, -1.0])],
+                                         [np.array([0.0, 1.0]), np.array([1.0, 0.0])]])
+    rho = state.data
+    assert rho.dtype == np.float64 and (np.signbit(rho) & (rho == 0.0)).any()
+    z = rho.astype(complex)
+    taus = np.array([0.0, 0.3, 1.0])
+    want = dynamics._series_sum(z.real + z.imag, state.cutoffs, taus,
+                                np.empty((taus.size,) + rho.shape))
+    (_, got), = dynamics._packed_batches(state, taus)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cat_decoherence_demo_meets_identity(capsys):
     demo = Path(__file__).resolve().parents[1] / "demos" / "cat_decoherence.py"
     runpy.run_path(str(demo), run_name="__main__")

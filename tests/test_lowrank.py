@@ -3,6 +3,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,89 @@ def test_ghz_data_holds_four_entries():
     corner = rho[np.ix_(ends, ends)]
     assert np.array_equal(corner, corner.conj().T)
     np.testing.assert_allclose(corner, V[ends] @ C @ V[ends].conj().T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: catalog.make_ghz(9), id="ghz9"),
+    pytest.param(lambda: catalog.make_dur(10, 0.3), id="dur10"),
+    pytest.param(lambda: catalog.make_noon(5), id="noon5"),
+])
+def test_real_product_data_is_float64_and_holds_the_complex_builds_real_part(make):
+    # each is a superposition of real kets: C has rank 1 and the one kept
+    # eigenpair gives b = V u sqrt(lam), real; the complex build wrote the
+    # products s b_i b_j into its real half and nothing into the imaginary one
+    state = make()
+    rho = state.data
+    assert rho.dtype == np.float64
+    V, C = state.factors
+    lam, U = np.linalg.eigh(C.real)
+    top = np.argmax(np.abs(lam))
+    assert np.abs(np.delete(lam, top)).max() <= 2 * np.finfo(float).eps * abs(lam[top])
+    b = ((V @ U[:, [top]]) * np.sqrt(abs(lam[top]))).real.ravel()
+    assert np.array_equal(rho, np.multiply.outer(np.sign(lam[top]) * b, b))
+
+
+def _coherent_ket(alpha, cutoff):
+    """<n|alpha> for n < cutoff, a float array for a real alpha."""
+    n = np.arange(cutoff)
+    return math.exp(-0.5 * abs(alpha) ** 2) * alpha ** n / np.sqrt(
+        [float(math.factorial(k)) for k in n])
+
+
+def test_complex_product_kets_keep_a_complex_matrix():
+    # a two-mode cat of complex coherent kets: b has an imaginary part
+    plus = [_coherent_ket(1.1 + 0.7j, 12), _coherent_ket(0.5j, 12)]
+    minus = [_coherent_ket(-1.1 - 0.7j, 12), _coherent_ket(-0.5j, 12)]
+    state = DensityMatrix.superposition([plus, minus])
+    rho = state.data
+    assert rho.dtype == np.complex128 and rho.imag.any()
+    assert np.array_equal(rho, rho.conj().T)
+    V, C = state.factors
+    np.testing.assert_allclose(rho, V @ C @ V.conj().T, rtol=0, atol=1e-15)
+
+
+def _single_mode_cat(alpha, cutoff):
+    """Even cat of real coherent kets, as a product state of one mode."""
+    return DensityMatrix.superposition([[_coherent_ket(alpha, cutoff)],
+                                        [_coherent_ket(-alpha, cutoff)]])
+
+
+@pytest.mark.parametrize("route", ["operator", "char-quadrature", "wigner-grid"])
+def test_routes_read_real_product_data_as_its_complex_twin(route):
+    state = _single_mode_cat(1.3, 24)
+    assert state.data.dtype == np.float64
+    twin = DensityMatrix(state.cutoffs, state.data)
+    assert twin.data.dtype == np.complex128
+    if route == "operator":
+        # the dense operator route, on the real matrix itself
+        real = DensityMatrix._from_hermitian(state.cutoffs, state.data.copy())
+        got = measure_operator(real).value
+    else:
+        got = measure(state, route).value
+    assert got == pytest.approx(measure(twin, route).value, rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("make", [lambda: catalog.make_ghz(12),
+                                  lambda: catalog.make_dur(12, 0.2)], ids=["ghz12", "dur12"])
+def test_real_build_of_4096_modes_allocates_one_float_matrix(make):
+    # a complex build would peak at 4096^2 * 16 B = 268 MB
+    state = make()
+    tracemalloc.start()
+    try:
+        rho = state.data
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.shape == (4096, 4096) and rho.dtype == np.float64
+    assert peak <= 4096 ** 2 * 8 + 2 * 2 ** 20
+
+
+def test_product_purity_keeps_its_digits_where_coeff_cancels():
+    # one level, two terms of coeff entries near 67 that cancel to a pure
+    # state: read as Tr(C G C G), the purity missed 1 by 2.3e-13
+    state = _product_state((1,), 2, "superposition", 1908688602)
+    assert abs(state.coeff).max() > 60.0
+    assert state.purity() == pytest.approx(1.0, rel=0, abs=1e-13)
 
 
 def test_lowrank_pads_unequal_mode_dimensions():
